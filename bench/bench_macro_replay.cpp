@@ -189,6 +189,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 #endif
+#include <cstdarg>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -239,6 +240,17 @@ void operator delete[](void* p, std::size_t) noexcept {
 namespace {
 
 using namespace ups;
+
+// Gate verdicts (FAIL / SKIPPED) go to stderr. Flushing stdout first keeps
+// them from landing mid-row in the stdout tables when both streams share a
+// terminal or log.
+[[gnu::format(printf, 1, 2)]] void gate_print(const char* fmt, ...) {
+  std::fflush(stdout);
+  std::va_list args;
+  va_start(args, fmt);
+  std::vfprintf(stderr, fmt, args);
+  va_end(args);
+}
 
 // Result identity compares everything deterministic: aggregate counters AND
 // the per-packet outcome vectors (all passes run with keep_outcomes on), so
@@ -870,8 +882,8 @@ int main(int argc, char** argv) {
       text_ingest.records != bin_ingest.records ||
       text_ingest.checksum != v3_ingest.checksum ||
       text_ingest.records != v3_ingest.records) {
-    std::fprintf(stderr, "FAIL: text/v2/v3 readers disagree on the same "
-                         "trace's contents\n");
+    gate_print("FAIL: text/v2/v3 readers disagree on the same "
+               "trace's contents\n");
     std::remove(v1_path.c_str());
     std::remove(v2_path.c_str());
     std::remove(v3_path.c_str());
@@ -918,7 +930,7 @@ int main(int argc, char** argv) {
     v3_steady_allocs =
         g_heap_allocs.load(std::memory_order_relaxed) - before;
     if (warm_fold != steady_fold) {
-      std::fprintf(stderr, "FAIL: v3 re-decode after seek diverged\n");
+      gate_print("FAIL: v3 re-decode after seek diverged\n");
       return 1;
     }
   }
@@ -1183,7 +1195,7 @@ int main(int argc, char** argv) {
       rft.v3_cold.wall_seconds = exp::wall_seconds_since(t0);
       if (rft.v2_cold.checksum != rft.v2_ingest.checksum ||
           rft.v3_cold.checksum != rft.v3_ingest.checksum) {
-        std::fprintf(stderr, "FAIL: cold-cache drains diverged from warm\n");
+        gate_print("FAIL: cold-cache drains diverged from warm\n");
         return 1;
       }
     }
@@ -1713,77 +1725,65 @@ int main(int argc, char** argv) {
   // --- gates ---------------------------------------------------------------
   int failures = 0;
   if (!same) {
-    std::fprintf(stderr,
-                 "FAIL: sharded results differ from the serial run "
-                 "(determinism violation)\n");
+    gate_print("FAIL: sharded results differ from the serial run "
+               "(determinism violation)\n");
     ++failures;
   }
   if (!process_same) {
-    std::fprintf(stderr,
-                 "FAIL: a process-backend run differs from the serial "
-                 "reference (dispatch fabric determinism violation)\n");
+    gate_print("FAIL: a process-backend run differs from the serial "
+               "reference (dispatch fabric determinism violation)\n");
     ++failures;
   }
   if (!fault_same) {
-    std::fprintf(stderr,
-                 "FAIL: the fault-injected process run merged differently "
-                 "from serial — worker recovery corrupted a result slot\n");
+    gate_print("FAIL: the fault-injected process run merged differently "
+               "from serial — worker recovery corrupted a result slot\n");
     ++failures;
   }
   if (!fault_fired) {
-    std::fprintf(stderr,
-                 "FAIL: --kill-worker-after injection recorded no worker "
-                 "failure — the recovery path went untested\n");
+    gate_print("FAIL: --kill-worker-after injection recorded no worker "
+               "failure — the recovery path went untested\n");
     ++failures;
   }
   if (!loss_backends_same) {
-    std::fprintf(stderr,
-                 "FAIL: a loss-sweep lane differs across dispatch backends "
-                 "— the fault RNG is not counter-deterministic\n");
+    gate_print("FAIL: a loss-sweep lane differs across dispatch backends "
+               "— the fault RNG is not counter-deterministic\n");
     ++failures;
   }
   if (!loss_zero_same) {
-    std::fprintf(stderr,
-                 "FAIL: the zero-loss lane differs from the plain sweep — "
-                 "a disabled fault process perturbed the schedule\n");
+    gate_print("FAIL: the zero-loss lane differs from the plain sweep — "
+               "a disabled fault process perturbed the schedule\n");
     ++failures;
   }
   if (!loss_fired) {
-    std::fprintf(stderr,
-                 "FAIL: a lossy lane recorded zero drops — its fault "
-                 "process never fired\n");
+    gate_print("FAIL: a lossy lane recorded zero drops — its fault "
+               "process never fired\n");
     ++failures;
   }
   if (!loss_conserved) {
-    std::fprintf(stderr,
-                 "FAIL: replay-under-loss leaked packets: delivered + "
-                 "dropped != injected on some lane/mode\n");
+    gate_print("FAIL: replay-under-loss leaked packets: delivered + "
+               "dropped != injected on some lane/mode\n");
     ++failures;
   }
   if (!flow_backends_same) {
-    std::fprintf(stderr,
-                 "FAIL: a backpressure lane differs across dispatch "
-                 "backends — flow control or stall re-enactment is not "
-                 "deterministic\n");
+    gate_print("FAIL: a backpressure lane differs across dispatch "
+               "backends — flow control or stall re-enactment is not "
+               "deterministic\n");
     ++failures;
   }
   if (!flow_zero_same) {
-    std::fprintf(stderr,
-                 "FAIL: the flow-off lane differs from the plain sweep — "
-                 "a disabled flow spec perturbed the schedule\n");
+    gate_print("FAIL: the flow-off lane differs from the plain sweep — "
+               "a disabled flow spec perturbed the schedule\n");
     ++failures;
   }
   if (!flow_fired) {
-    std::fprintf(stderr,
-                 "FAIL: a governed backpressure lane recorded zero stalls "
-                 "— its flow budget never parked a transmitter\n");
+    gate_print("FAIL: a governed backpressure lane recorded zero stalls "
+               "— its flow budget never parked a transmitter\n");
     ++failures;
   }
   if (!flow_lossless) {
-    std::fprintf(stderr,
-                 "FAIL: a flow-controlled replay lost packets: delivered "
-                 "!= injected or drops > 0 — backpressure must be "
-                 "lossless\n");
+    gate_print("FAIL: a flow-controlled replay lost packets: delivered "
+               "!= injected or drops > 0 — backpressure must be "
+               "lossless\n");
     ++failures;
   }
   // The process-count speedup bar, like the thread one, needs real cores.
@@ -1793,9 +1793,8 @@ int main(int argc, char** argv) {
       best = std::max(best, pt.speedup_vs_serial);
     }
     if (best < min_process_speedup) {
-      std::fprintf(stderr,
-                   "FAIL: best process-backend speedup %.2fx < %.2fx bar\n",
-                   best, min_process_speedup);
+      gate_print("FAIL: best process-backend speedup %.2fx < %.2fx bar\n",
+                 best, min_process_speedup);
       ++failures;
     }
   } else if (process_available) {
@@ -1805,13 +1804,12 @@ int main(int argc, char** argv) {
       static_cast<std::uint64_t>(
           max_residency *
           static_cast<double>(res_upfront.peak_pool_packets))) {
-    std::fprintf(stderr,
-                 "FAIL: streaming peak residency %llu > %.2f x upfront peak "
-                 "%llu\n",
-                 static_cast<unsigned long long>(res_stream.peak_pool_packets),
-                 max_residency,
-                 static_cast<unsigned long long>(
-                     res_upfront.peak_pool_packets));
+    gate_print("FAIL: streaming peak residency %llu > %.2f x upfront peak "
+               "%llu\n",
+               static_cast<unsigned long long>(res_stream.peak_pool_packets),
+               max_residency,
+               static_cast<unsigned long long>(
+               res_upfront.peak_pool_packets));
     ++failures;
   }
   // Steady-state gates (lanes: 0 open-loop, 1 paced, 2 closed-loop; incast
@@ -1826,44 +1824,39 @@ int main(int argc, char** argv) {
   const auto& closed_lane = lanes[2];
   if (static_cast<double>(closed_lane.peak_pool_2x) >
       max_workload_plateau * static_cast<double>(closed_lane.peak_pool)) {
-    std::fprintf(stderr,
-                 "FAIL: closed-loop residency did not plateau: %llu at 2x "
-                 "budget vs %llu at 1x (> %.2fx) — outstanding bound leak?\n",
-                 static_cast<unsigned long long>(closed_lane.peak_pool_2x),
-                 static_cast<unsigned long long>(closed_lane.peak_pool),
-                 max_workload_plateau);
+    gate_print("FAIL: closed-loop residency did not plateau: %llu at 2x "
+               "budget vs %llu at 1x (> %.2fx) — outstanding bound leak?\n",
+               static_cast<unsigned long long>(closed_lane.peak_pool_2x),
+               static_cast<unsigned long long>(closed_lane.peak_pool),
+               max_workload_plateau);
     ++failures;
   }
   if (static_cast<double>(closed_lane.peak_pool_2x) >
       max_workload_residency * static_cast<double>(open_loop_peak_2x)) {
-    std::fprintf(stderr,
-                 "FAIL: closed-loop peak residency %llu > %.2f x open-loop "
-                 "baseline %llu — WAN scenario did not reach steady state\n",
-                 static_cast<unsigned long long>(closed_lane.peak_pool_2x),
-                 max_workload_residency,
-                 static_cast<unsigned long long>(open_loop_peak_2x));
+    gate_print("FAIL: closed-loop peak residency %llu > %.2f x open-loop "
+               "baseline %llu — WAN scenario did not reach steady state\n",
+               static_cast<unsigned long long>(closed_lane.peak_pool_2x),
+               max_workload_residency,
+               static_cast<unsigned long long>(open_loop_peak_2x));
     ++failures;
   }
   if (static_cast<double>(paced_lane.peak_pool_2x) >
       0.97 * static_cast<double>(open_loop_peak_2x)) {
-    std::fprintf(stderr,
-                 "FAIL: paced peak residency %llu is not below the open-loop "
-                 "baseline %llu — pacing is not shaping emission\n",
-                 static_cast<unsigned long long>(paced_lane.peak_pool_2x),
-                 static_cast<unsigned long long>(open_loop_peak_2x));
+    gate_print("FAIL: paced peak residency %llu is not below the open-loop "
+               "baseline %llu — pacing is not shaping emission\n",
+               static_cast<unsigned long long>(paced_lane.peak_pool_2x),
+               static_cast<unsigned long long>(open_loop_peak_2x));
     ++failures;
   }
   if (!disk_same) {
-    std::fprintf(stderr,
-                 "FAIL: binary disk replay differs from the text path "
-                 "(format round-trip or cursor bug)\n");
+    gate_print("FAIL: binary disk replay differs from the text path "
+               "(format round-trip or cursor bug)\n");
     ++failures;
   }
   if (disk_speedup < min_disk_speedup) {
-    std::fprintf(stderr,
-                 "FAIL: binary replay ingestion %.2fx text reader < %.2fx "
-                 "bar\n",
-                 disk_speedup, min_disk_speedup);
+    gate_print("FAIL: binary replay ingestion %.2fx text reader < %.2fx "
+               "bar\n",
+               disk_speedup, min_disk_speedup);
     ++failures;
   }
   // The ingest gate runs on the disk lane (cold cache): that is the regime
@@ -1873,9 +1866,8 @@ int main(int argc, char** argv) {
   // bounds the drain, hence the bandwidth credibility check (warm-cache
   // decode has its own machine-relative floor below).
   if (!cold_available) {
-    std::fprintf(stderr,
-                 "v3 ingest gate SKIPPED: needs the RocketFuel tiled lane "
-                 "(--rf-packets=N) and platform page-cache eviction\n");
+    gate_print("v3 ingest gate SKIPPED: needs the RocketFuel tiled lane "
+               "(--rf-packets=N) and platform page-cache eviction\n");
   } else if (!cold_is_credible) {
     std::printf("v3 ingest gate SKIPPED: post-eviction v2 read ran at "
                 "%.0f MB/s (> %.0f MB/s) — a cache below the page cache "
@@ -1884,30 +1876,27 @@ int main(int argc, char** argv) {
                 "not gated)\n",
                 v2_cold_mbps, kColdCredibleMBps, v3_cold_ratio);
   } else if (v3_cold_ratio < min_v3_ingest_ratio) {
-    std::fprintf(stderr,
-                 "FAIL: v3 cold-cache ingest %.0f packets/sec is %.2fx the "
-                 "v2 cursor's %.0f — below the %.2fx bar\n",
-                 v3_cold_pps, v3_cold_ratio, v2_cold_pps,
-                 min_v3_ingest_ratio);
+    gate_print("FAIL: v3 cold-cache ingest %.0f packets/sec is %.2fx the "
+               "v2 cursor's %.0f — below the %.2fx bar\n",
+               v3_cold_pps, v3_cold_ratio, v2_cold_pps,
+               min_v3_ingest_ratio);
     ++failures;
   }
   // Decode-ahead identity is non-negotiable: the pipelined cursor must be
   // indistinguishable from the synchronous one, on every machine.
   if (!v3_ahead_same) {
-    std::fprintf(stderr,
-                 "FAIL: decode-ahead drain folded differently from the "
-                 "synchronous v3 cursor (pipeline ordering bug)\n");
+    gate_print("FAIL: decode-ahead drain folded differently from the "
+               "synchronous v3 cursor (pipeline ordering bug)\n");
     ++failures;
   }
   // Warm-decode floor (off by default; CI pins the measured floor). The
   // ratio is machine-relative — v3/v2 on the same box, same run — so it
   // transfers across hardware in a way an absolute packets/sec bar cannot.
   if (min_v3_warm_ratio > 0.0 && warm_ratio_measured < min_v3_warm_ratio) {
-    std::fprintf(stderr,
-                 "FAIL: v3 warm decode is %.2fx the v2 cursor (%s lane) — "
-                 "below the %.2fx bar\n",
-                 warm_ratio_measured, rf_packets > 0 ? "tiled" : "disk",
-                 min_v3_warm_ratio);
+    gate_print("FAIL: v3 warm decode is %.2fx the v2 cursor (%s lane) — "
+               "below the %.2fx bar\n",
+               warm_ratio_measured, rf_packets > 0 ? "tiled" : "disk",
+               min_v3_warm_ratio);
     ++failures;
   }
   // Warm-decode anchor vs the committed baseline (skip when the baseline
@@ -1919,11 +1908,10 @@ int main(int argc, char** argv) {
                   "v3_warm_packets_per_sec anchor\n",
                   baseline_path.c_str());
     } else if (v3_ingest_pps < min_warm_baseline_ratio * committed_warm_pps) {
-      std::fprintf(stderr,
-                   "FAIL: v3 warm decode %.0f packets/sec < %.2f x committed "
-                   "baseline %.0f — columnar decoder regression\n",
-                   v3_ingest_pps, min_warm_baseline_ratio,
-                   committed_warm_pps);
+      gate_print("FAIL: v3 warm decode %.0f packets/sec < %.2f x committed "
+                 "baseline %.0f — columnar decoder regression\n",
+                 v3_ingest_pps, min_warm_baseline_ratio,
+                 committed_warm_pps);
       ++failures;
     }
   }
@@ -1932,11 +1920,10 @@ int main(int argc, char** argv) {
   // instead of failing (mirrors the sharded-speedup skip rule).
   if (hw != 1) {
     if (ahead_ratio_measured < min_ahead_ratio) {
-      std::fprintf(stderr,
-                   "FAIL: decode-ahead drain is %.2fx the synchronous "
-                   "cursor (%s lane) — below the %.2fx bar\n",
-                   ahead_ratio_measured, rf_packets > 0 ? "tiled" : "disk",
-                   min_ahead_ratio);
+      gate_print("FAIL: decode-ahead drain is %.2fx the synchronous "
+                 "cursor (%s lane) — below the %.2fx bar\n",
+                 ahead_ratio_measured, rf_packets > 0 ? "tiled" : "disk",
+                 min_ahead_ratio);
       ++failures;
     }
   } else {
@@ -1945,31 +1932,27 @@ int main(int argc, char** argv) {
                 ahead_ratio_measured);
   }
   if (wan_v3_ratio > max_v3_bytes_ratio) {
-    std::fprintf(stderr,
-                 "FAIL: WAN v3 trace is %.3fx the v2 bytes (> %.2fx bar): "
-                 "%llu vs %llu bytes\n",
-                 wan_v3_ratio, max_v3_bytes_ratio,
-                 static_cast<unsigned long long>(wan_v3_bytes),
-                 static_cast<unsigned long long>(wan_v2_bytes));
+    gate_print("FAIL: WAN v3 trace is %.3fx the v2 bytes (> %.2fx bar): "
+               "%llu vs %llu bytes\n",
+               wan_v3_ratio, max_v3_bytes_ratio,
+               static_cast<unsigned long long>(wan_v3_bytes),
+               static_cast<unsigned long long>(wan_v2_bytes));
     ++failures;
   }
   if (v3_steady_allocs != 0) {
-    std::fprintf(stderr,
-                 "FAIL: warmed v3 decode performed %llu heap allocations "
-                 "(contract: zero)\n",
-                 static_cast<unsigned long long>(v3_steady_allocs));
+    gate_print("FAIL: warmed v3 decode performed %llu heap allocations "
+               "(contract: zero)\n",
+               static_cast<unsigned long long>(v3_steady_allocs));
     ++failures;
   }
   if (!v3_seek_same) {
-    std::fprintf(stderr,
-                 "FAIL: v3 block-seek walk folded differently from the "
-                 "sequential drain (index/seek bug)\n");
+    gate_print("FAIL: v3 block-seek walk folded differently from the "
+               "sequential drain (index/seek bug)\n");
     ++failures;
   }
   if (!rf_tiled_ok) {
-    std::fprintf(stderr,
-                 "FAIL: RocketFuel tiled v2 and v3 traces disagree "
-                 "(ingest checksum or replay counters)\n");
+    gate_print("FAIL: RocketFuel tiled v2 and v3 traces disagree "
+               "(ingest checksum or replay counters)\n");
     ++failures;
   }
   // Skip only on a *known* single-core box; hardware_concurrency() == 0
@@ -1977,8 +1960,8 @@ int main(int argc, char** argv) {
   // (CI runners report their count correctly).
   if (hw != 1 && threads >= 2) {
     if (speedup < min_speedup) {
-      std::fprintf(stderr, "FAIL: sharded speedup %.2fx < %.2fx bar\n",
-                   speedup, min_speedup);
+      gate_print("FAIL: sharded speedup %.2fx < %.2fx bar\n",
+                 speedup, min_speedup);
       ++failures;
     }
   } else {
@@ -1993,10 +1976,9 @@ int main(int argc, char** argv) {
   // the tight kernel bars live in bench_micro_queues where both kernels
   // run in the same binary.
   if (committed_pps > 0.0 && serial_pps < min_baseline_ratio * committed_pps) {
-    std::fprintf(stderr,
-                 "FAIL: serial %.0f packets/sec < %.2f x committed baseline "
-                 "%.0f — event-kernel or replay hot-path regression\n",
-                 serial_pps, min_baseline_ratio, committed_pps);
+    gate_print("FAIL: serial %.0f packets/sec < %.2f x committed baseline "
+               "%.0f — event-kernel or replay hot-path regression\n",
+               serial_pps, min_baseline_ratio, committed_pps);
     ++failures;
   }
   if (failures == 0) {

@@ -56,8 +56,9 @@ placement make_placement(const fairness_config& cfg) {
       core::make_factory(core::sched_kind::fifo, 0));
   scratch.build();
   std::map<std::pair<net::node_id, net::node_id>, int> crossing;
+  std::vector<net::node_id> path;
   for (const auto& [s, d] : out.pairs) {
-    const auto& path = scratch.route(s, d);
+    scratch.route(s, d, path);
     for (std::size_t j = 0; j + 1 < path.size(); ++j) {
       const auto a = std::min(path[j], path[j + 1]);
       const auto b = std::max(path[j], path[j + 1]);

@@ -1,6 +1,8 @@
 #include "net/network.h"
 
+#include <algorithm>
 #include <cassert>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
@@ -99,40 +101,23 @@ void network::build() {
     }
   }
 
-  // Topology is final: flatten routing into the dense table. Router-only
-  // graph, host links excluded, so paths are router sequences.
+  // Topology is final: index the router-only graph (host links excluded,
+  // so paths are router sequences). Dense indices follow node id order, so
+  // Dijkstra's tie-breaks match a node-indexed run. Rows come later, on
+  // demand (route()).
   router_index_.assign(nodes_.size(), -1);
   for (const auto& n : nodes_) {
-    if (n.kind == node_kind::router) {
-      router_index_[n.id] = static_cast<std::int32_t>(router_count_++);
-    }
+    if (n.kind != node_kind::router) continue;
+    router_index_[n.id] = static_cast<std::int32_t>(router_ids_.size());
+    router_ids_.push_back(n.id);
   }
-  std::vector<std::vector<routing_edge>> graph(nodes_.size());
+  route_graph_.resize(router_ids_.size());
+  route_row_.assign(router_ids_.size(), -1);
   for (const auto& p : ports_) {
-    if (nodes_[p->from()].kind == node_kind::router &&
-        nodes_[p->to()].kind == node_kind::router) {
-      graph[p->from()].push_back(routing_edge{p->to(), p->prop_delay() + 1});
-    }
-  }
-  route_table_.assign(router_count_ * router_count_, {});
-  // Only routers with an attached host can originate a route lookup; one
-  // Dijkstra tree fills each such router's whole row. Hosts with a
-  // malformed uplink count are skipped here and still fail at lookup
-  // (attachment() throws), exactly as the lazy cache did.
-  std::vector<bool> row_done(router_count_, false);
-  for (const auto& n : nodes_) {
-    if (n.kind != node_kind::host || out_ports_[n.id].size() != 1) continue;
-    const node_id r0 = out_ports_[n.id].front().first;
-    if (nodes_[r0].kind != node_kind::router) continue;
-    const auto row = static_cast<std::size_t>(router_index_[r0]);
-    if (row_done[row]) continue;
-    row_done[row] = true;
-    const auto prev = shortest_path_tree(graph, r0);
-    for (const auto& m : nodes_) {
-      if (m.kind != node_kind::router) continue;
-      route_table_[row * router_count_ +
-                   static_cast<std::size_t>(router_index_[m.id])] =
-          path_from_tree(prev, r0, m.id);
+    const auto from = router_index_[p->from()];
+    const auto to = router_index_[p->to()];
+    if (from >= 0 && to >= 0) {
+      route_graph_[from].push_back(routing_edge{to, p->prop_delay() + 1});
     }
   }
 }
@@ -158,21 +143,29 @@ node_id network::attachment(node_id host) const {
   return out_ports_[host].front().first;
 }
 
-const std::vector<node_id>& network::route(node_id src_host,
-                                           node_id dst_host) const {
-  const node_id r0 = attachment(src_host);
-  const node_id r1 = attachment(dst_host);
-  // A host "attached" to another host has no router row; the lazy cache
-  // reported that as unroutable too.
-  if (router_index_[r0] < 0 || router_index_[r1] < 0) {
+void network::route(node_id src_host, node_id dst_host,
+                    std::vector<node_id>& out) {
+  const std::int32_t s = router_index_[attachment(src_host)];
+  const std::int32_t t = router_index_[attachment(dst_host)];
+  // A host "attached" to another host has no router row: unroutable too.
+  if (s < 0 || t < 0) throw std::runtime_error("network: no route");
+  const std::size_t n = router_ids_.size();
+  if (route_row_[s] < 0) {
+    const std::size_t slot = route_prev_.size() / n;
+    route_prev_.resize((slot + 1) * n);
+    shortest_path_tree(route_graph_, s, std::span(route_prev_).last(n));
+    route_row_[s] = static_cast<std::int32_t>(slot);
+    ++stats_.route_trees;
+  }
+  const node_id* prev =
+      route_prev_.data() + static_cast<std::size_t>(route_row_[s]) * n;
+  if (t != s && prev[t] == kInvalidNode) {
     throw std::runtime_error("network: no route");
   }
-  const auto& path =
-      route_table_[static_cast<std::size_t>(router_index_[r0]) *
-                       router_count_ +
-                   static_cast<std::size_t>(router_index_[r1])];
-  if (path.empty()) throw std::runtime_error("network: no route");
-  return path;
+  out.clear();
+  for (node_id v = t; v != s; v = prev[v]) out.push_back(router_ids_[v]);
+  out.push_back(router_ids_[s]);
+  std::reverse(out.begin(), out.end());
 }
 
 sim::time_ps network::tmin(const packet& p, std::size_t from_hop) const {
@@ -192,7 +185,7 @@ sim::time_ps network::tmin(const packet& p, std::size_t from_hop) const {
 
 void network::send_from_host(packet_ptr p) {
   assert(built_);
-  if (p->path.empty()) p->path = route(p->src_host, p->dst_host);
+  if (p->path.empty()) route(p->src_host, p->dst_host, p->path);
   p->hop = 0;
   p->created_at = sim_.now();
   ++stats_.injected;
@@ -201,7 +194,7 @@ void network::send_from_host(packet_ptr p) {
 
 void network::inject_at_ingress(packet_ptr p, sim::time_ps at) {
   assert(built_);
-  if (p->path.empty()) p->path = route(p->src_host, p->dst_host);
+  if (p->path.empty()) route(p->src_host, p->dst_host, p->path);
   p->hop = 0;
   p->created_at = at;
   ++stats_.injected;

@@ -70,6 +70,9 @@ struct network_stats {
   sim::time_ps flow_stall_time = 0;
   std::uint64_t watchdog_transient = 0;
   std::uint64_t watchdog_persistent = 0;
+  // Dijkstra trees computed by route(): at most one per source router, and
+  // zero for a network that only replays recorded paths.
+  std::uint64_t route_trees = 0;
 };
 
 class network {
@@ -147,12 +150,12 @@ class network {
   // Router attached to a host.
   [[nodiscard]] node_id attachment(node_id host) const;
 
-  // Router-level shortest path between the routers serving two hosts
-  // (weight = propagation delay + 1ps per hop; deterministic tie-breaks).
-  // Backed by a dense per-topology (src-router, dst-router) table filled at
-  // build(): per-flow lookup is two array indexes, no hashing.
-  [[nodiscard]] const std::vector<node_id>& route(node_id src_host,
-                                                  node_id dst_host) const;
+  // Stores in `out` (reusing its capacity) the router-level shortest path
+  // between the routers serving two hosts (weight = propagation delay + 1ps
+  // per hop; deterministic tie-breaks). The first lookup from a source
+  // router computes its predecessor row; later ones only walk it. Throws
+  // std::runtime_error when no route exists.
+  void route(node_id src_host, node_id dst_host, std::vector<node_id>& out);
 
   // Minimum remaining network traversal time for p from path[from_hop] to
   // egress: per-hop transmission plus inter-router propagation (Appendix A's
@@ -226,14 +229,16 @@ class network {
   std::uint32_t flow_watchdog_stuck_ = 0;
   std::int64_t flow_returns_in_flight_ = 0;
 
-  // Dense route table replacing the old hashed (src,dst) cache: one row per
-  // router with an attached host (the only possible route sources), filled
-  // at build() from one Dijkstra tree each. route_table_[router_index_[r0]
-  // * router_count_ + router_index_[r1]] is the r0->r1 router path; empty
-  // means unreachable (or an uncomputed non-edge row).
+  // Lazy predecessor rows over the router-only graph (dense router indices,
+  // host links excluded). route_row_[i] is the slot of router i's row in
+  // route_prev_, -1 until the first route() from it; a row holds one
+  // predecessor per router from one Dijkstra tree, so a network that never
+  // routes (replay) computes no tree and holds no row.
   std::vector<std::int32_t> router_index_;  // node_id -> dense router index
-  std::size_t router_count_ = 0;
-  std::vector<std::vector<node_id>> route_table_;
+  std::vector<node_id> router_ids_;         // dense router index -> node_id
+  routing_graph route_graph_;
+  std::vector<std::int32_t> route_row_;
+  std::vector<node_id> route_prev_;
   std::vector<std::function<void(packet_ptr)>> host_handlers_;
 
   // in-flight packet arena (packets on the wire between ports)

@@ -1,16 +1,18 @@
 #include "net/routing.h"
 
 #include <algorithm>
+#include <cassert>
 #include <limits>
 #include <queue>
 
 namespace ups::net {
 
-std::vector<node_id> shortest_path_tree(const routing_graph& g, node_id s) {
-  const auto n = static_cast<node_id>(g.size());
+void shortest_path_tree(const routing_graph& g, node_id s,
+                        std::span<node_id> prev) {
+  assert(prev.size() == g.size());
   constexpr sim::time_ps inf = std::numeric_limits<sim::time_ps>::max();
-  std::vector<sim::time_ps> dist(n, inf);
-  std::vector<node_id> prev(n, kInvalidNode);
+  std::vector<sim::time_ps> dist(g.size(), inf);
+  std::fill(prev.begin(), prev.end(), kInvalidNode);
   using item = std::pair<sim::time_ps, node_id>;
   std::priority_queue<item, std::vector<item>, std::greater<>> pq;
   dist[s] = 0;
@@ -30,25 +32,19 @@ std::vector<node_id> shortest_path_tree(const routing_graph& g, node_id s) {
     }
   }
   // Unreachable nodes keep prev == kInvalidNode; so does s (dist 0, no
-  // predecessor) — path_from_tree treats s specially.
-  return prev;
-}
-
-std::vector<node_id> path_from_tree(const std::vector<node_id>& prev,
-                                    node_id s, node_id t) {
-  std::vector<node_id> path;
-  for (node_id v = t; v != kInvalidNode; v = prev[v]) {
-    path.push_back(v);
-    if (v == s) break;
-  }
-  std::reverse(path.begin(), path.end());
-  if (path.front() != s) return {};
-  return path;
+  // predecessor), which is where a path walk stops.
 }
 
 std::vector<node_id> shortest_path(const routing_graph& g, node_id s,
                                    node_id t) {
-  return path_from_tree(shortest_path_tree(g, s), s, t);
+  std::vector<node_id> prev(g.size());
+  shortest_path_tree(g, s, prev);
+  std::vector<node_id> path;
+  if (t != s && prev[t] == kInvalidNode) return path;  // unreachable
+  for (node_id v = t; v != s; v = prev[v]) path.push_back(v);
+  path.push_back(s);
+  std::reverse(path.begin(), path.end());
+  return path;
 }
 
 }  // namespace ups::net

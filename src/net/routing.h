@@ -1,6 +1,7 @@
 // Deterministic Dijkstra shortest paths over the router graph.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "net/packet.h"
@@ -21,17 +22,13 @@ using routing_graph = std::vector<std::vector<routing_edge>>;
 [[nodiscard]] std::vector<node_id> shortest_path(const routing_graph& g,
                                                  node_id s, node_id t);
 
-// Single-source shortest-path tree from s: prev[v] is v's predecessor on
-// the (deterministically tie-broken, identical to shortest_path) shortest
-// path from s, kInvalidNode when v is unreachable (and for s itself).
-// network::build() uses this to fill one dense route-table row per Dijkstra
-// instead of one pair per run.
-[[nodiscard]] std::vector<node_id> shortest_path_tree(const routing_graph& g,
-                                                      node_id s);
-
-// Extracts the s->t path (inclusive) from a shortest_path_tree(g, s) result;
-// empty when t is unreachable from s.
-[[nodiscard]] std::vector<node_id> path_from_tree(
-    const std::vector<node_id>& prev, node_id s, node_id t);
+// Single-source shortest-path tree from s, written into the caller's row
+// (prev.size() == g.size()): prev[v] is v's predecessor on the shortest
+// s->v path (tie-broken exactly as shortest_path), kInvalidNode when v is
+// unreachable and for s itself. A path is the walk from t back along prev
+// to s; network keeps one such row per source router, computed on its
+// first route lookup.
+void shortest_path_tree(const routing_graph& g, node_id s,
+                        std::span<node_id> prev);
 
 }  // namespace ups::net

@@ -178,18 +178,18 @@ void paced_source::start_flow(std::size_t i) {
   // Path bottleneck: tightest finite link on the flow's route, NIC and
   // egress access included. Pacing against the NIC alone would under-pace
   // on topologies whose access tier is slower than the host links.
-  const auto& path = net_.route(f.src, f.dst);
+  net_.route(f.src, f.dst, path_);
   sim::bits_per_sec bottleneck = sim::kInfiniteRate;
   const auto tighten = [&bottleneck](const net::port& pt) {
     if (pt.rate() != sim::kInfiniteRate) {
       bottleneck = std::min(bottleneck, pt.rate());
     }
   };
-  tighten(net_.port_between(f.src, path.front()));
-  for (std::size_t j = 0; j + 1 < path.size(); ++j) {
-    tighten(net_.port_between(path[j], path[j + 1]));
+  tighten(net_.port_between(f.src, path_.front()));
+  for (std::size_t j = 0; j + 1 < path_.size(); ++j) {
+    tighten(net_.port_between(path_[j], path_[j + 1]));
   }
-  tighten(net_.port_between(path.back(), f.dst));
+  tighten(net_.port_between(path_.back(), f.dst));
   st.pace_rate =
       bottleneck == sim::kInfiniteRate
           ? sim::kInfiniteRate

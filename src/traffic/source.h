@@ -197,6 +197,7 @@ class paced_source final : public source {
   std::vector<flow_spec> flows_;
   std::vector<flow_state> state_;  // parallel to flows_
   std::vector<host_state> hosts_;  // indexed by node_id
+  std::vector<net::node_id> path_;  // start_flow's route() scratch
   double fraction_;
   source_options opt_;
   std::uint64_t next_packet_id_ = 1;

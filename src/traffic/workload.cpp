@@ -12,10 +12,11 @@ namespace {
 
 // Accumulates per-directed-port load (in units of one source-destination
 // pair's rate share) along the route of a host pair, including the source
-// host's NIC and the egress router's port.
+// host's NIC and the egress router's port. `path` is route() scratch.
 void add_pair_load(net::network& net, net::node_id src, net::node_id dst,
-                   double w, std::unordered_map<const net::port*, double>& load) {
-  const auto& path = net.route(src, dst);
+                   double w, std::unordered_map<const net::port*, double>& load,
+                   std::vector<net::node_id>& path) {
+  net.route(src, dst, path);
   load[&net.port_between(src, path.front())] += w;
   for (std::size_t j = 0; j + 1 < path.size(); ++j) {
     load[&net.port_between(path[j], path[j + 1])] += w;
@@ -34,12 +35,13 @@ double calibrate_per_host_rate(net::network& net, const topo::topology& topo,
 
   // --- calibration: per-port load per unit of per-host offered rate ---
   std::unordered_map<const net::port*, double> load;
+  std::vector<net::node_id> path;
   if (hosts <= cfg.exact_pair_limit) {
     const double w = 1.0 / static_cast<double>(hosts - 1);
     for (std::size_t s = 0; s < hosts; ++s) {
       for (std::size_t d = 0; d < hosts; ++d) {
         if (s == d) continue;
-        add_pair_load(net, topo.host_id(s), topo.host_id(d), w, load);
+        add_pair_load(net, topo.host_id(s), topo.host_id(d), w, load, path);
       }
     }
   } else {
@@ -52,7 +54,7 @@ double calibrate_per_host_rate(net::network& net, const topo::topology& topo,
       const auto s = calib_rng.next_below(hosts);
       auto d = calib_rng.next_below(hosts - 1);
       if (d >= s) ++d;
-      add_pair_load(net, topo.host_id(s), topo.host_id(d), w, load);
+      add_pair_load(net, topo.host_id(s), topo.host_id(d), w, load, path);
     }
   }
 

@@ -65,7 +65,8 @@ TEST(errors, unreachable_route_throws) {
   n.add_link(1, h1, sim::kGbps, 0);
   n.set_scheduler_factory(core::make_factory(core::sched_kind::fifo, 1));
   n.build();
-  EXPECT_THROW(static_cast<void>(n.route(h0, h1)), std::runtime_error);
+  std::vector<net::node_id> path;
+  EXPECT_THROW(n.route(h0, h1, path), std::runtime_error);
 }
 
 TEST(errors, host_with_two_uplinks_rejected_in_routing) {
@@ -81,7 +82,8 @@ TEST(errors, host_with_two_uplinks_rejected_in_routing) {
   n.add_link(1, h2, sim::kGbps, 0);
   n.set_scheduler_factory(core::make_factory(core::sched_kind::fifo, 1));
   n.build();
-  EXPECT_THROW(static_cast<void>(n.route(h, h2)), std::logic_error);
+  std::vector<net::node_id> path;
+  EXPECT_THROW(n.route(h, h2, path), std::logic_error);
 }
 
 TEST(errors, replay_of_empty_trace_is_empty_result) {

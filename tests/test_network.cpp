@@ -2,15 +2,19 @@
 // timing, ingress/egress hooks, tmin, buffer drops, and forwarding.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <vector>
 
 #include "core/registry.h"
+#include "core/replay.h"
 #include "net/network.h"
 #include "net/trace.h"
 #include "sim/simulator.h"
 #include "topo/basic.h"
 #include "topo/fattree.h"
 #include "topo/internet2.h"
+#include "topo/rocketfuel.h"
 #include "topo/topology.h"
 
 namespace ups::net {
@@ -100,7 +104,7 @@ TEST(network, tmin_matches_observed_uncongested_traversal) {
   f.net.hooks().on_egress = [&](const packet&, sim::time_ps t) { egress = t; };
 
   auto p = make_packet(1, h0, h1, 1000);
-  p->path = f.net.route(h0, h1);
+  f.net.route(h0, h1, p->path);
   const auto tmin = f.net.tmin(*p, 0);
   f.net.send_from_host(std::move(p));
   f.sim.run();
@@ -119,7 +123,7 @@ TEST(network, inject_at_ingress_bypasses_host_link) {
     ingress = t;
   };
   auto p = make_packet(1, h0, h1, 1500);
-  p->path = f.net.route(h0, h1);
+  f.net.route(h0, h1, p->path);
   f.net.inject_at_ingress(std::move(p), 777 * sim::kMicrosecond);
   f.sim.run();
   EXPECT_EQ(ingress, 777 * sim::kMicrosecond);
@@ -156,7 +160,7 @@ TEST(network, buffer_admits_again_once_service_drains) {
                               drop_kind) { ++drops; };
   for (int i = 0; i < 4; ++i) {
     auto p = make_packet(i + 1, h0, h1, 1500);
-    p->path = f.net.route(h0, h1);
+    f.net.route(h0, h1, p->path);
     f.net.inject_at_ingress(std::move(p),
                             i * 12 * sim::kMicrosecond);
   }
@@ -171,7 +175,8 @@ TEST(network, hosts_on_same_router_single_router_path) {
   const auto h0 = f.topo.host_id(0);
   // Hosts alternate ends in line(); with 1 router both attach to router 0.
   const auto h1 = f.topo.host_id(1);
-  const auto& path = f.net.route(h0, h1);
+  std::vector<node_id> path;
+  f.net.route(h0, h1, path);
   EXPECT_EQ(path.size(), 1u);
 
   sim::time_ps egress = -1;
@@ -235,10 +240,10 @@ TEST(network, infinite_rate_port_transmits_instantly) {
   EXPECT_EQ(egress, 0);
 }
 
-// Differential test for the dense route table: the table filled at build()
-// must reproduce, for every host pair, exactly what the old lazy cache
-// computed — a fresh shortest_path over the router-only graph (weight =
-// propagation delay + 1ps) between the two attachment routers.
+// Differential test for the lazy route rows: for every (strided) host pair,
+// route() must return exactly a fresh shortest_path over the node-indexed
+// router-only graph (weight = propagation delay + 1ps) between the two
+// attachment routers — same paths, same tie-breaks.
 void expect_routes_match_reference(topo::topology t, std::size_t stride = 1) {
   fixture f(std::move(t));
   routing_graph g(f.net.node_count());
@@ -247,6 +252,7 @@ void expect_routes_match_reference(topo::topology t, std::size_t stride = 1) {
       g[p->from()].push_back(routing_edge{p->to(), p->prop_delay() + 1});
     }
   }
+  std::vector<node_id> path;
   for (std::size_t i = 0; i < f.topo.host_count(); i += stride) {
     for (std::size_t j = 0; j < f.topo.host_count(); j += stride) {
       const auto hi = f.topo.host_id(i);
@@ -254,7 +260,8 @@ void expect_routes_match_reference(topo::topology t, std::size_t stride = 1) {
       const auto expected =
           shortest_path(g, f.net.attachment(hi), f.net.attachment(hj));
       ASSERT_FALSE(expected.empty());
-      EXPECT_EQ(f.net.route(hi, hj), expected)
+      f.net.route(hi, hj, path);
+      EXPECT_EQ(path, expected)
           << f.topo.name << " host " << i << " -> " << j;
     }
   }
@@ -278,6 +285,95 @@ TEST(network, route_table_matches_lazy_reference_fattree) {
   // 128 hosts: a strided sample still covers intra-edge, intra-pod and
   // cross-pod pairs while keeping the reference Dijkstras cheap.
   expect_routes_match_reference(topo::fattree(), /*stride=*/5);
+}
+
+TEST(network, route_table_matches_lazy_reference_rocketfuel) {
+  // 830 hosts on 913 routers: every 41st host gives 21 source rows, each
+  // checked against 21 destinations spread over the whole topology.
+  expect_routes_match_reference(topo::rocketfuel(), /*stride=*/41);
+}
+
+TEST(network, replay_network_computes_no_route_tree) {
+  // The recording network routes its one host pair once; the replay network
+  // takes every path from the trace and must never build a tree.
+  const auto t = topo::line(3, sim::kGbps, sim::kMicrosecond);
+  fixture f(t);
+  net::trace_recorder rec(f.net, /*with_hop_times=*/false);
+  for (int i = 0; i < 5; ++i) {
+    f.net.send_from_host(
+        make_packet(i + 1, f.topo.host_id(0), f.topo.host_id(1), 1500));
+  }
+  f.sim.run();
+  EXPECT_EQ(f.net.stats().route_trees, 1u);
+
+  // replay_trace owns its network; an ingress hook installed by the
+  // topology builder samples the counter after every injection.
+  std::uint64_t ingresses = 0;
+  std::uint64_t trees = 0;
+  const auto res = core::replay_trace(
+      rec.take(),
+      [&](network& n) {
+        topo::populate(t, n);
+        n.hooks().on_ingress = [&n, &ingresses, &trees](const packet&,
+                                                        sim::time_ps) {
+          ++ingresses;
+          trees = std::max(trees, n.stats().route_trees);
+        };
+      },
+      core::replay_options{});
+  EXPECT_EQ(res.total, 5u);
+  EXPECT_EQ(ingresses, 5u);
+  EXPECT_EQ(trees, 0u);
+}
+
+TEST(network, route_row_is_computed_once_per_source_router) {
+  fixture f(topo::fattree());
+  EXPECT_EQ(f.net.stats().route_trees, 0u);  // build() routes nothing
+  // Hosts 0 and 1 share an edge switch; host 15 sits in another pod.
+  const auto h0 = f.topo.host_id(0);
+  const auto h1 = f.topo.host_id(1);
+  const auto h15 = f.topo.host_id(15);
+  std::vector<node_id> path;
+  f.net.route(h0, h15, path);
+  f.net.route(h0, h1, path);
+  f.net.route(h1, h15, path);
+  f.net.route(h0, h15, path);
+  EXPECT_EQ(f.net.stats().route_trees, 1u);
+  f.net.route(h15, h0, path);
+  EXPECT_EQ(f.net.stats().route_trees, 2u);
+}
+
+TEST(network, self_route_is_the_attachment_router) {
+  // line(1, .., 2): both hosts hang off router 0.
+  fixture f(topo::line(1, sim::kGbps, sim::kMicrosecond, 2));
+  const auto h0 = f.topo.host_id(0);
+  const auto r0 = f.net.attachment(h0);
+  std::vector<node_id> path{7, 7, 7};  // stale contents are replaced
+  f.net.route(h0, f.topo.host_id(1), path);
+  EXPECT_EQ(path, std::vector<node_id>{r0});
+  f.net.route(h0, h0, path);
+  EXPECT_EQ(path, std::vector<node_id>{r0});
+}
+
+TEST(network, unreachable_pair_throws_on_fresh_and_cached_row) {
+  // Two disconnected routers; hosts 0 and 2 on router 0, host 1 on router 1.
+  topo::topology t;
+  t.name = "split";
+  t.routers = 2;
+  for (const std::int32_t r : {0, 1, 0}) {
+    t.hosts.push_back(topo::host_spec{r, sim::kGbps, sim::kMicrosecond});
+  }
+  fixture f(std::move(t));
+  const auto h0 = f.topo.host_id(0);
+  const auto h1 = f.topo.host_id(1);
+  std::vector<node_id> path{42};
+  EXPECT_THROW(f.net.route(h0, h1, path), std::runtime_error);
+  EXPECT_EQ(f.net.stats().route_trees, 1u);
+  EXPECT_THROW(f.net.route(h0, h1, path), std::runtime_error);
+  EXPECT_EQ(f.net.stats().route_trees, 1u);  // second miss reused the row
+  EXPECT_EQ(path, std::vector<node_id>{42});  // a miss leaves out untouched
+  f.net.route(h0, f.topo.host_id(2), path);
+  EXPECT_EQ(path, std::vector<node_id>{f.net.attachment(h0)});
 }
 
 }  // namespace

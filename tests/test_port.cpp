@@ -96,10 +96,10 @@ TEST(port, preemption_slack_accounting_charges_pause_as_waiting) {
   };
 
   auto big = make_packet(1, h0, h1, 1500, 100 * sim::kMicrosecond);
-  big->path = f.net.route(h0, h1);
+  f.net.route(h0, h1, big->path);
   f.net.inject_at_ingress(std::move(big), 0);
   auto urgent = make_packet(2, h0, h1, 125, 0);
-  urgent->path = f.net.route(h0, h1);
+  f.net.route(h0, h1, urgent->path);
   f.net.inject_at_ingress(std::move(urgent), 6 * sim::kMicrosecond);
   f.sim.run();
 
@@ -124,7 +124,7 @@ TEST(port, preemptive_packet_count_conserved) {
     auto p = make_packet(i, h0, h1, 1500,
                          static_cast<sim::time_ps>((50 - i)) *
                              3 * sim::kMicrosecond);
-    p->path = f.net.route(h0, h1);
+    f.net.route(h0, h1, p->path);
     f.net.inject_at_ingress(std::move(p),
                             static_cast<sim::time_ps>(i) * sim::kMicrosecond);
   }
@@ -144,10 +144,10 @@ TEST(port, same_instant_arrivals_scheduled_by_rank_not_delivery_order) {
     order.push_back(p.id);
   };
   auto relaxed = make_packet(1, h0, h1, 1500, sim::kSecond);
-  relaxed->path = f.net.route(h0, h1);
+  f.net.route(h0, h1, relaxed->path);
   f.net.inject_at_ingress(std::move(relaxed), sim::kMicrosecond);
   auto urgent = make_packet(2, h0, h1, 1500, 0);
-  urgent->path = f.net.route(h0, h1);
+  f.net.route(h0, h1, urgent->path);
   f.net.inject_at_ingress(std::move(urgent), sim::kMicrosecond);
   f.sim.run();
   EXPECT_EQ(order, (std::vector<std::uint64_t>{2, 1}));
@@ -166,7 +166,7 @@ TEST(port, work_conserving_no_idle_with_backlog) {
   const int n = 20;
   for (int i = 0; i < n; ++i) {
     auto p = make_packet(i + 1, h0, h1, 1500);
-    p->path = f.net.route(h0, h1);
+    f.net.route(h0, h1, p->path);
     f.net.inject_at_ingress(std::move(p), 0);
   }
   f.sim.run();

@@ -47,6 +47,14 @@ TEST(routing, unreachable_returns_empty) {
   EXPECT_TRUE(shortest_path(g, 0, 2).empty());
 }
 
+TEST(routing, tree_row_is_filled_in_place) {
+  // 0-1-2 chain plus an isolated node 3.
+  const auto g = make_graph(4, {{0, 1, 1}, {1, 2, 1}});
+  std::vector<node_id> prev(4, 99);  // stale contents are overwritten
+  shortest_path_tree(g, 0, prev);
+  EXPECT_EQ(prev, (std::vector<node_id>{kInvalidNode, 0, 1, kInvalidNode}));
+}
+
 TEST(routing, long_chain) {
   routing_graph g(50);
   for (node_id i = 0; i + 1 < 50; ++i) {

@@ -35,7 +35,7 @@ TEST(tmin, line_decomposes_per_hop) {
   p.size_bytes = 1500;
   p.src_host = f.topo.host_id(0);
   p.dst_host = f.topo.host_id(1);
-  p.path = f.net.route(p.src_host, p.dst_host);
+  f.net.route(p.src_host, p.dst_host, p.path);
   ASSERT_EQ(p.path.size(), 4u);
   for (std::size_t k = 0; k + 1 < p.path.size(); ++k) {
     const auto full = f.net.tmin(p, k);
@@ -55,7 +55,7 @@ TEST(tmin, paper_slack_equation_terms) {
   p.size_bytes = 1500;
   p.src_host = f.topo.host_id(0);
   p.dst_host = f.topo.host_id(1);
-  p.path = f.net.route(p.src_host, p.dst_host);
+  f.net.route(p.src_host, p.dst_host, p.path);
   ASSERT_EQ(p.path.size(), 1u);
   EXPECT_EQ(f.net.tmin(p, 0), 12 * sim::kMicrosecond);
 }
@@ -73,7 +73,7 @@ TEST(tmin, heterogeneous_rates) {
   p.size_bytes = 1500;
   p.src_host = f.topo.host_id(0);
   p.dst_host = f.topo.host_id(1);
-  p.path = f.net.route(p.src_host, p.dst_host);
+  f.net.route(p.src_host, p.dst_host, p.path);
   // r0 at 1G (12us) + r1 at 2G (6us) + r2 egress at 10G (1.2us).
   EXPECT_EQ(f.net.tmin(p, 0), 19'200 * sim::kNanosecond);
 }
@@ -84,7 +84,7 @@ TEST(edf, priority_equals_deadline_minus_remaining_tmin_plus_t) {
   p->size_bytes = 1500;
   p->src_host = f.topo.host_id(0);
   p->dst_host = f.topo.host_id(1);
-  p->path = f.net.route(p->src_host, p->dst_host);
+  f.net.route(p->src_host, p->dst_host, p->path);
   p->deadline = sim::kMillisecond;  // o(p)
   p->hop = 1;  // as if arriving at the port of path[0]
 
@@ -143,7 +143,7 @@ TEST(tmin, matches_on_internet2_sampled_paths) {
     p->size_bytes = 1500;
     p->src_host = f.topo.host_id(s);
     p->dst_host = f.topo.host_id(d);
-    p->path = net2.route(p->src_host, p->dst_host);
+    net2.route(p->src_host, p->dst_host, p->path);
     const auto expect = net2.tmin(*p, 0);
     net2.send_from_host(std::move(p));
     sim2.run();
