@@ -16,23 +16,23 @@
 // respawned) run still merges byte-identical, with the failure classified
 // in the report.
 //
-// A disk-replay lane measures the binary trace formats against v1 text:
-// the largest scenario's trace is written in all three formats (v1 text,
-// v2 fixed-record binary, v3 delta-varint blocks), drained through every
-// reader (ingestion packets/sec and MB/s — the number that bounds how
-// large a workload the replay framework can evaluate), and replayed
-// end-to-end from every file across every mode, serial and sharded (every
-// sharded worker mmaps the same binary file read-only; the OS shares one
-// physical copy). The v3 cursor additionally runs an allocation probe (a
+// A disk-replay lane measures the v3 binary trace format against v1 text:
+// the largest scenario's trace is written in both formats, drained through
+// both readers (ingestion packets/sec and MB/s — the number that bounds
+// how large a workload the replay framework can evaluate), and replayed
+// end-to-end from both files across every mode, v3 serial and sharded
+// (every sharded worker mmaps the same v3 file read-only; the OS shares
+// one physical copy). The v3 cursor additionally runs an allocation probe (a
 // warmed block decode must run allocation-free — counted with a global
 // operator-new hook, gated at zero) and a block-seek walk (every block
 // visited out of order through the leading index with MADV_RANDOM advice;
 // the fold must equal the sequential drain's).
 //
 // A WAN-bytes lane records an Internet2 trace with per-hop data and writes
-// it in all three formats: bytes/packet per format is the compression
+// it in both formats: bytes/packet per format is the compression
 // trajectory, and v3 must come in at or under --max-v3-bytes-ratio
-// (default 0.75) of v2 — the headline claim of the block format.
+// (default 0.75) of the fixed-width record size (fixed_width_bytes below)
+// — the headline claim of the block format.
 //
 // A RocketFuel lane sweeps the mixed workload (incast epochs over a
 // closed-loop background) across fan-in degree {8,16,32} x outstanding
@@ -40,9 +40,9 @@
 // LSTF replay throughput, overdue fractions, and residency per cell. With
 // --rf-packets=N it additionally builds an N-packet v3 trace by tiling a
 // recorded mixed base along the time axis (disjoint packet/flow ids per
-// tile, O(1 block) writer memory), writes the identical trace as v2, and
-// measures bytes, ingest, and end-to-end LSTF replay at a scale that only
-// fits because of the disk formats (N=1e8 is the headline run).
+// tile, O(1 block) writer memory) and measures bytes, warm and cold-cache
+// ingest, and end-to-end LSTF replay at a scale that only fits because of
+// the disk format (N=1e8 is the headline run).
 //
 // A workload lane sweeps the traffic-source kinds {open-loop, paced,
 // closed-loop, incast} over the WAN scenario at 70% utilization, recording
@@ -119,40 +119,23 @@
 //   residency     streaming peak packet-pool residency on the largest
 //                 scenario <= --max-residency × the up-front peak — the
 //                 O(in-flight) vs O(trace) claim, measured, not assumed
-//   disk identity replaying the v2 and v3 binaries must produce
+//   disk identity replaying the v3 binary, serial and sharded, must produce
 //                 byte-identical results to the v1 text path for every
-//                 replay mode, serial and sharded — always on
-//   disk speedup  binary (mmap) replay ingestion >= --min-disk-speedup ×
-//                 the text reader's packets/sec (default 3x) — always on:
+//                 replay mode — always on
+//   disk speedup  v3 (mmap) replay ingestion >= --min-disk-speedup × the
+//                 text reader's packets/sec (default 3x) — always on:
 //                 ingestion is single-threaded I/O work, measurable even on
 //                 a 1-core box
-//   v3 ingest     cold-cache (disk-lane) v3 ingestion >=
-//                 --min-v3-ingest-ratio × the v2 cursor's cold packets/sec
-//                 (default 1.0). Both files are evicted from page cache
-//                 (fsync + POSIX_FADV_DONTNEED, bench/page_cache.h) before
-//                 their drains, so the measurement is the regime the block
-//                 format targets: bytes off storage dominate and the ~3x
-//                 smaller v3 file must be the faster ingest path. SKIPs
-//                 where eviction is unavailable, and where the
-//                 post-eviction v2 read still runs at cache bandwidth
-//                 (> 750 MB/s): there a cache below the page cache — a VM
-//                 host caching the block device — served the bytes, and
-//                 the storage-bound regime is not reachable on that box.
-//   v3 warm       warm-cache v3 decode >= --min-v3-warm-ratio × the v2
-//                 cursor's warm packets/sec (same run, same box — a
-//                 machine-relative floor; 0 = report only). With
-//                 --min-warm-baseline-ratio=X, warm v3 packets/sec must
-//                 also stay >= X × the committed baseline's
+//   v3 warm       with --min-warm-baseline-ratio=X, warm-cache v3 decode
+//                 packets/sec must stay >= X × the committed baseline's
 //                 v3_warm_packets_per_sec anchor (SKIPs when the baseline
 //                 lacks the anchor). Keeps the SWAR columnar decoder from
 //                 silently regressing.
-//   decode-ahead  the pipelined (decode_ahead) cursor must fold
-//                 byte-identically to the synchronous drain — always on —
-//                 and reach >= --min-ahead-ratio × the synchronous warm
-//                 packets/sec (default 0.9; SKIPs on 1-core boxes, where
-//                 there is no second core to decode on)
-//   v3 bytes      WAN-trace v3 bytes/packet <= --max-v3-bytes-ratio × v2
-//                 (default 0.75)
+//   v3 cold       the tiled lane's cold-cache (evicted) v3 drain must fold
+//                 to the warm drain's checksum — always on when eviction is
+//                 available. Its packets/sec is reported, not gated.
+//   v3 bytes      WAN-trace v3 bytes/packet <= --max-v3-bytes-ratio × the
+//                 fixed-width record size (default 0.75)
 //   v3 allocs     a warmed v3 cursor decodes the whole file with zero
 //                 heap allocations — always on
 //   v3 seek       the out-of-order block-seek walk folds to the same
@@ -175,11 +158,8 @@
 //                           [--max-workload-residency=F]
 //                           [--max-workload-plateau=F]
 //                           [--baseline=FILE] [--min-baseline-ratio=X]
-//                           [--max-v3-bytes-ratio=X]
-//                           [--min-v3-ingest-ratio=X] [--rf-packets=N]
-//                           [--min-v3-warm-ratio=X]
+//                           [--max-v3-bytes-ratio=X] [--rf-packets=N]
 //                           [--min-warm-baseline-ratio=X]
-//                           [--min-ahead-ratio=X]
 
 #include <algorithm>
 #include <atomic>
@@ -323,6 +303,20 @@ ingest_stats drain(net::trace_cursor& cur) {
   return is ? static_cast<std::uint64_t>(is.tellg()) : 0;
 }
 
+// What a trace costs as fixed-width binary records — the yardstick the v3
+// bytes gate measures compression against: a 32-byte file header, then
+// per record a 4-byte length prefix, 72 bytes of fixed fields, 4 bytes per
+// hop, 8 per hop departure, an 8-byte ingress-index slot, and 16/20 bytes
+// when the record carries a drop/stall.
+[[nodiscard]] std::uint64_t fixed_width_bytes(const net::trace& t) {
+  std::uint64_t bytes = 32;
+  for (const auto& r : t.packets) {
+    bytes += 84 + 4 * r.path.size() + 8 * r.hop_departs.size() +
+             (r.dropped() ? 16 : 0) + (r.stalled() ? 20 : 0);
+  }
+  return bytes;
+}
+
 using ups::bench::drop_page_cache;
 
 // Pulls a numeric field out of a committed BENCH_macro_replay.json: the
@@ -357,9 +351,8 @@ using ups::bench::drop_page_cache;
 // disjoint. One record is resident at a time; its vectors' capacities
 // persist across iterations, so the loop itself is allocation-free after
 // the first tile.
-template <typename Writer>
-std::uint64_t write_tiled(Writer& writer, const net::trace& base,
-                          std::uint64_t target) {
+std::uint64_t write_tiled(net::trace_v3_writer& writer,
+                          const net::trace& base, std::uint64_t target) {
   const auto& b = base.packets;
   const sim::time_ps last = b.back().ingress_time;
   const sim::time_ps gap =
@@ -408,10 +401,7 @@ int main(int argc, char** argv) {
   std::string baseline_path;
   double min_baseline_ratio = 0.25;
   double max_v3_bytes_ratio = 0.75;
-  double min_v3_ingest_ratio = 1.0;
-  double min_v3_warm_ratio = 0.0;        // 0: report only, no gate
   double min_warm_baseline_ratio = 0.0;  // 0: report only, no gate
-  double min_ahead_ratio = 0.9;
   std::uint64_t rf_packets = 0;
   for (int i = 1; i < argc; ++i) {
     if (std::strncmp(argv[i], "--threads=", 10) == 0) {
@@ -436,14 +426,8 @@ int main(int argc, char** argv) {
       min_baseline_ratio = std::strtod(argv[i] + 21, nullptr);
     } else if (std::strncmp(argv[i], "--max-v3-bytes-ratio=", 21) == 0) {
       max_v3_bytes_ratio = std::strtod(argv[i] + 21, nullptr);
-    } else if (std::strncmp(argv[i], "--min-v3-ingest-ratio=", 22) == 0) {
-      min_v3_ingest_ratio = std::strtod(argv[i] + 22, nullptr);
-    } else if (std::strncmp(argv[i], "--min-v3-warm-ratio=", 20) == 0) {
-      min_v3_warm_ratio = std::strtod(argv[i] + 20, nullptr);
     } else if (std::strncmp(argv[i], "--min-warm-baseline-ratio=", 26) == 0) {
       min_warm_baseline_ratio = std::strtod(argv[i] + 26, nullptr);
-    } else if (std::strncmp(argv[i], "--min-ahead-ratio=", 18) == 0) {
-      min_ahead_ratio = std::strtod(argv[i] + 18, nullptr);
     } else if (std::strncmp(argv[i], "--rf-packets=", 13) == 0) {
       rf_packets = std::strtoull(argv[i] + 13, nullptr, 10);
     }
@@ -841,19 +825,15 @@ int main(int argc, char** argv) {
   }
   const std::uint64_t open_loop_peak_2x = lanes[0].peak_pool_2x;
 
-  // --- disk-replay lane: v1 text vs v2 binary -------------------------------
+  // --- disk-replay lane: v1 text vs v3 binary -------------------------------
   // Same workload trace written in both formats; sorted once at "record
-  // time" so the text file streams (the v2 file carries its own ingress
-  // index and would not need it).
+  // time" so the text file streams (the v3 writer sorts on its own).
   net::sort_by_ingress(orig_big.trace);
   const std::string v1_path = "bench_macro_disk.v1.trace";
-  const std::string v2_path = "bench_macro_disk.v2.trace";
   const std::string v3_path = "bench_macro_disk.v3.trace";
   net::save_trace(v1_path, orig_big.trace);
-  net::save_trace_v2(v2_path, orig_big.trace);
   net::save_trace_v3(v3_path, orig_big.trace);
   const std::uint64_t v1_bytes = file_bytes(v1_path);
-  const std::uint64_t v2_bytes = file_bytes(v2_path);
   const std::uint64_t v3_bytes = file_bytes(v3_path);
 
   // Ingestion: drain each reader with no simulation attached — the cost the
@@ -861,45 +841,26 @@ int main(int argc, char** argv) {
   // (parse throughput is deterministic single-threaded work; end-to-end
   // replay adds identical simulation cost to every lane and dilutes the
   // format difference).
-  ingest_stats text_ingest, bin_ingest, v3_ingest, v3_ahead;
+  ingest_stats text_ingest, v3_ingest;
   {
     net::trace_stream_reader reader(v1_path);
     text_ingest = drain(reader);
-    net::trace_mmap_cursor cursor(v2_path);
-    bin_ingest = drain(cursor);
     net::trace_v3_cursor v3cur(v3_path);
     v3_ingest = drain(v3cur);
-    // Decode-ahead pass over the same warm file: the pipelined cursor
-    // (background decoder thread + SPSC conveyor) must fold identically to
-    // the synchronous drain — gated below — and its throughput is the
-    // overlap measurement (meaningful only with >= 2 cores).
-    net::trace_v3_cursor v3pipe(v3_path, net::trace_access::decode_ahead);
-    v3_ahead = drain(v3pipe);
   }
-  const bool v3_ahead_same = v3_ahead.checksum == v3_ingest.checksum &&
-                             v3_ahead.records == v3_ingest.records;
-  if (text_ingest.checksum != bin_ingest.checksum ||
-      text_ingest.records != bin_ingest.records ||
-      text_ingest.checksum != v3_ingest.checksum ||
+  if (text_ingest.checksum != v3_ingest.checksum ||
       text_ingest.records != v3_ingest.records) {
-    gate_print("FAIL: text/v2/v3 readers disagree on the same "
-               "trace's contents\n");
+    gate_print("FAIL: text/v3 readers disagree on the same trace's "
+               "contents\n");
     std::remove(v1_path.c_str());
-    std::remove(v2_path.c_str());
     std::remove(v3_path.c_str());
     return 1;
   }
   const double text_ingest_pps =
       static_cast<double>(text_ingest.records) / text_ingest.wall_seconds;
-  const double bin_ingest_pps =
-      static_cast<double>(bin_ingest.records) / bin_ingest.wall_seconds;
   const double v3_ingest_pps =
       static_cast<double>(v3_ingest.records) / v3_ingest.wall_seconds;
-  const double disk_speedup = bin_ingest_pps / text_ingest_pps;
-  const double v3_ingest_ratio = v3_ingest_pps / bin_ingest_pps;
-  const double v3_ahead_pps =
-      static_cast<double>(v3_ahead.records) / v3_ahead.wall_seconds;
-  const double v3_ahead_ratio = v3_ahead_pps / v3_ingest_pps;
+  const double disk_speedup = v3_ingest_pps / text_ingest_pps;
 
   // Cold-cache (disk-lane) ingest is measured on the RocketFuel tiled
   // lane below: its files are large enough (tens of MB up to GBs) that an
@@ -959,11 +920,10 @@ int main(int argc, char** argv) {
   const bool v3_seek_same = v3_seek.checksum == v3_ingest.checksum &&
                             v3_seek.records == v3_ingest.records;
 
-  // End-to-end disk replay across every mode: text serial, then each
-  // binary format serial and thread-sharded, plus a process:2 pass over
-  // the v3 file (each worker — thread or forked process — maps the same
-  // file read-only; the kernel shares one physical copy). All six runs
-  // must be byte-identical.
+  // End-to-end disk replay across every mode: text serial, then v3 serial,
+  // thread-sharded, and a process:2 pass (each worker — thread or forked
+  // process — maps the same file read-only; the kernel shares one physical
+  // copy). All four runs must be byte-identical.
   exp::disk_shard_task disk_task;
   disk_task.topology = orig_big.topology;
   disk_task.threshold_T = orig_big.threshold_T;
@@ -990,10 +950,6 @@ int main(int argc, char** argv) {
   const auto t_text = std::chrono::steady_clock::now();
   const auto disk_text = run_disk(v1_path, disk_serial_spec);
   const double text_replay_wall = exp::wall_seconds_since(t_text);
-  const auto t_bin = std::chrono::steady_clock::now();
-  const auto disk_bin = run_disk(v2_path, disk_serial_spec);
-  const double bin_replay_wall = exp::wall_seconds_since(t_bin);
-  const auto disk_bin_sharded = run_disk(v2_path, disk_sharded_spec);
   const auto t_v3 = std::chrono::steady_clock::now();
   const auto disk_v3 = run_disk(v3_path, disk_serial_spec);
   const double v3_replay_wall = exp::wall_seconds_since(t_v3);
@@ -1001,15 +957,11 @@ int main(int argc, char** argv) {
   const auto disk_v3_process =
       process_available ? run_disk(v3_path, disk_process_spec) : disk_v3;
 
-  bool disk_same = disk_text.size() == disk_bin.size() &&
-                   disk_text.size() == disk_bin_sharded.size() &&
-                   disk_text.size() == disk_v3.size() &&
+  bool disk_same = disk_text.size() == disk_v3.size() &&
                    disk_text.size() == disk_v3_sharded.size() &&
                    disk_text.size() == disk_v3_process.size();
   for (std::size_t m = 0; disk_same && m < disk_text.size(); ++m) {
-    disk_same = same_result(disk_text[m].result, disk_bin[m].result) &&
-                same_result(disk_text[m].result, disk_bin_sharded[m].result) &&
-                same_result(disk_text[m].result, disk_v3[m].result) &&
+    disk_same = same_result(disk_text[m].result, disk_v3[m].result) &&
                 same_result(disk_text[m].result, disk_v3_sharded[m].result) &&
                 same_result(disk_text[m].result, disk_v3_process[m].result);
   }
@@ -1017,21 +969,18 @@ int main(int argc, char** argv) {
       orig_big.trace.packets.size() * modes.size();
   const double text_replay_pps =
       static_cast<double>(disk_replayed) / text_replay_wall;
-  const double bin_replay_pps =
-      static_cast<double>(disk_replayed) / bin_replay_wall;
   const double v3_replay_pps =
       static_cast<double>(disk_replayed) / v3_replay_wall;
   std::remove(v1_path.c_str());
-  std::remove(v2_path.c_str());
   std::remove(v3_path.c_str());
 
-  // --- WAN-bytes lane: compression across the three formats -----------------
+  // --- WAN-bytes lane: compression against fixed-width records --------------
   // An Internet2 trace recorded *with* per-hop data (path + per-router
   // departure columns populated — the widest records the recorder emits,
   // and the representative WAN-archive shape). v3's delta-varint columns
-  // must land at or under max_v3_bytes_ratio x the v2 fixed-width size.
+  // must land at or under max_v3_bytes_ratio x the fixed-width size.
   std::uint64_t wan_records = 0;
-  std::uint64_t wan_v1_bytes = 0, wan_v2_bytes = 0, wan_v3_bytes = 0;
+  std::uint64_t wan_v1_bytes = 0, wan_fixed_bytes = 0, wan_v3_bytes = 0;
   {
     exp::scenario wan_sc;
     wan_sc.topo = exp::topo_kind::i2_default;
@@ -1044,20 +993,17 @@ int main(int argc, char** argv) {
     net::sort_by_ingress(wan_orig.trace);
     wan_records = wan_orig.trace.packets.size();
     const std::string w1 = "bench_macro_wan.v1.trace";
-    const std::string w2 = "bench_macro_wan.v2.trace";
     const std::string w3 = "bench_macro_wan.v3.trace";
     net::save_trace(w1, wan_orig.trace);
-    net::save_trace_v2(w2, wan_orig.trace);
     net::save_trace_v3(w3, wan_orig.trace);
     wan_v1_bytes = file_bytes(w1);
-    wan_v2_bytes = file_bytes(w2);
+    wan_fixed_bytes = fixed_width_bytes(wan_orig.trace);
     wan_v3_bytes = file_bytes(w3);
     std::remove(w1.c_str());
-    std::remove(w2.c_str());
     std::remove(w3.c_str());
   }
-  const double wan_v3_ratio =
-      static_cast<double>(wan_v3_bytes) / static_cast<double>(wan_v2_bytes);
+  const double wan_v3_ratio = static_cast<double>(wan_v3_bytes) /
+                              static_cast<double>(wan_fixed_bytes);
 
   // --- RocketFuel lane: mixed workloads at WAN scale -------------------------
   // Sweep axes: incast fan-in degree x closed-loop outstanding window, the
@@ -1108,35 +1054,24 @@ int main(int argc, char** argv) {
 
   // Tiled scale lane (--rf-packets=N, headline N=1e8): a recorded mixed
   // base trace tiled along the time axis into an N-packet v3 file (O(1
-  // block) writer memory — the whole point of the streaming path) and the
-  // identical trace as v2, then pure-ingest and end-to-end LSTF replay of
-  // both. Replays are compared on their aggregate counters; the
-  // per-outcome byte-identity of v2-vs-v3 replay is gated on the disk
-  // lane above, where keeping 2x outcome vectors is cheap.
+  // block) writer memory — the whole point of the streaming path), then
+  // warm and cold-cache ingest and end-to-end LSTF replay of it.
   struct rf_tiled_stats {
     std::uint64_t records = 0;
     std::uint64_t base_records = 0;
-    std::uint64_t v2_bytes = 0;
     std::uint64_t v3_bytes = 0;
-    double v2_write_wall = 0;
     double v3_write_wall = 0;
-    ingest_stats v2_ingest;
     ingest_stats v3_ingest;
-    ingest_stats v3_ahead;  // decode-ahead warm drain of the same v3 file
-    // Cold-cache open+drain of the same two files after page-cache
-    // eviction — the disk-lane ingest measurement and the v3-ingest gate's
-    // metric. cold_available is false where eviction is unsupported.
-    ingest_stats v2_cold;
+    // Cold-cache open+drain of the same file after page-cache eviction.
+    // cold_available is false where eviction is unsupported.
     ingest_stats v3_cold;
     bool cold_available = false;
-    double v2_replay_wall = 0;
     double v3_replay_wall = 0;
     double frac_overdue = 0;
     double frac_overdue_beyond_T = 0;
-    bool identical = true;
   };
   rf_tiled_stats rft;
-  bool rf_tiled_ok = true;
+  bool rf_cold_same = true;
   if (rf_packets > 0) {
     exp::scenario base_sc;
     base_sc.topo = exp::topo_kind::rocketfuel;
@@ -1149,7 +1084,6 @@ int main(int argc, char** argv) {
     auto base = exp::run_original(base_sc);
     net::sort_by_ingress(base.trace);
     rft.base_records = base.trace.packets.size();
-    const std::string r2 = "bench_macro_rf.v2.trace";
     const std::string r3 = "bench_macro_rf.v3.trace";
     {
       std::ofstream os(r3, std::ios::binary);
@@ -1158,52 +1092,23 @@ int main(int argc, char** argv) {
       rft.records = write_tiled(w, base.trace, rf_packets);
       rft.v3_write_wall = exp::wall_seconds_since(t0);
     }
-    {
-      std::ofstream os(r2, std::ios::binary);
-      net::trace_binary_writer w(os);
-      const auto t0 = std::chrono::steady_clock::now();
-      (void)write_tiled(w, base.trace, rf_packets);
-      rft.v2_write_wall = exp::wall_seconds_since(t0);
-    }
-    rft.v2_bytes = file_bytes(r2);
     rft.v3_bytes = file_bytes(r3);
     {
-      net::trace_mmap_cursor c2(r2);
-      rft.v2_ingest = drain(c2);
       net::trace_v3_cursor c3(r3);
       rft.v3_ingest = drain(c3);
-      net::trace_v3_cursor c3p(r3, net::trace_access::decode_ahead);
-      rft.v3_ahead = drain(c3p);
     }
-    // Cold-cache ingest: evict each file (fsync + POSIX_FADV_DONTNEED),
-    // then time open + drain — opening is part of the cost (a v2 open
-    // faults the whole footer index; v3 only the leading block index).
-    // This is the regime the block format exists for: bytes off storage
-    // dominate, and the ~3x smaller v3 file must be the faster path.
-    rft.cold_available = drop_page_cache(r2);
-    if (rft.cold_available) {
-      const auto t0 = std::chrono::steady_clock::now();
-      net::trace_mmap_cursor c2(r2);
-      rft.v2_cold = drain(c2);
-      rft.v2_cold.wall_seconds = exp::wall_seconds_since(t0);
-      rft.cold_available = drop_page_cache(r3);
-    }
+    // Cold-cache ingest: evict the file (fsync + POSIX_FADV_DONTNEED), then
+    // time open + drain — opening is part of the cost (v3 faults only the
+    // leading block index before the first block).
+    rft.cold_available = drop_page_cache(r3);
     if (rft.cold_available) {
       const auto t0 = std::chrono::steady_clock::now();
       net::trace_v3_cursor c3(r3);
       rft.v3_cold = drain(c3);
       rft.v3_cold.wall_seconds = exp::wall_seconds_since(t0);
-      if (rft.v2_cold.checksum != rft.v2_ingest.checksum ||
-          rft.v3_cold.checksum != rft.v3_ingest.checksum) {
-        gate_print("FAIL: cold-cache drains diverged from warm\n");
-        return 1;
-      }
+      rf_cold_same = rft.v3_cold.checksum == rft.v3_ingest.checksum &&
+                     rft.v3_cold.records == rft.v3_ingest.records;
     }
-    const auto t_r2 = std::chrono::steady_clock::now();
-    const auto rep2 = exp::run_replay_file(r2, base.topology,
-                                           base.threshold_T,
-                                           core::replay_mode::lstf);
-    rft.v2_replay_wall = exp::wall_seconds_since(t_r2);
     const auto t_r3 = std::chrono::steady_clock::now();
     const auto rep3 = exp::run_replay_file(r3, base.topology,
                                            base.threshold_T,
@@ -1211,67 +1116,30 @@ int main(int argc, char** argv) {
     rft.v3_replay_wall = exp::wall_seconds_since(t_r3);
     rft.frac_overdue = rep3.frac_overdue();
     rft.frac_overdue_beyond_T = rep3.frac_overdue_beyond_T();
-    rft.identical =
-        rft.v2_ingest.checksum == rft.v3_ingest.checksum &&
-        rft.v2_ingest.records == rft.v3_ingest.records &&
-        rft.v3_ahead.checksum == rft.v3_ingest.checksum &&
-        rft.v3_ahead.records == rft.v3_ingest.records &&
-        rep2.total == rep3.total && rep2.overdue == rep3.overdue &&
-        rep2.overdue_beyond_T == rep3.overdue_beyond_T;
-    rf_tiled_ok = rft.identical;
-    std::remove(r2.c_str());
     std::remove(r3.c_str());
   }
   const bool cold_available = rf_packets > 0 && rft.cold_available;
-  const double v2_cold_pps =
-      cold_available
-          ? static_cast<double>(rft.v2_cold.records) /
-                rft.v2_cold.wall_seconds
-          : 0.0;
   const double v3_cold_pps =
       cold_available
           ? static_cast<double>(rft.v3_cold.records) /
                 rft.v3_cold.wall_seconds
           : 0.0;
-  const double v3_cold_ratio =
-      cold_available ? v3_cold_pps / v2_cold_pps : 0.0;
-  // Bandwidth of the post-eviction v2 drain. A genuinely cold medium
-  // measures tens to a few hundred MB/s here (the committed baseline's
-  // cold v2 read at ~50 MB/s); when the "evicted" file still reads at
-  // GB/s, a cache below the page cache served the bytes — a VM host
-  // caching the block device, or fadvise advice silently ignored — and
-  // the storage-bound regime the cold gate protects does not exist on
-  // this machine.
-  const double v2_cold_mbps =
-      cold_available ? static_cast<double>(rft.v2_bytes) /
-                           rft.v2_cold.wall_seconds / (1024.0 * 1024.0)
+  // Bandwidth of the post-eviction drain. A genuinely cold medium measures
+  // tens to a few hundred MB/s here; when the "evicted" file still reads
+  // at GB/s, a cache below the page cache served the bytes — a VM host
+  // caching the block device, or fadvise advice silently ignored — and the
+  // number is not a storage-bound measurement.
+  const double v3_cold_mbps =
+      cold_available ? static_cast<double>(rft.v3_bytes) /
+                           rft.v3_cold.wall_seconds / (1024.0 * 1024.0)
                      : 0.0;
   constexpr double kColdCredibleMBps = 750.0;
   const bool cold_is_credible =
-      cold_available && v2_cold_mbps <= kColdCredibleMBps;
-  // Warm-decode lane metrics. The tiled lane's big file is the preferred
-  // measurement (hundreds of MB of blocks, decode-bound); without
-  // --rf-packets the small disk lane's ratio stands in for the gate.
-  const double rf_v2_warm_pps =
-      rf_packets > 0 ? static_cast<double>(rft.v2_ingest.records) /
-                           rft.v2_ingest.wall_seconds
-                     : 0.0;
+      cold_available && v3_cold_mbps <= kColdCredibleMBps;
   const double rf_v3_warm_pps =
       rf_packets > 0 ? static_cast<double>(rft.v3_ingest.records) /
                            rft.v3_ingest.wall_seconds
                      : 0.0;
-  const double rf_v3_ahead_pps =
-      rf_packets > 0 ? static_cast<double>(rft.v3_ahead.records) /
-                           rft.v3_ahead.wall_seconds
-                     : 0.0;
-  const double rf_warm_ratio =
-      rf_packets > 0 ? rf_v3_warm_pps / rf_v2_warm_pps : 0.0;
-  const double rf_ahead_ratio =
-      rf_packets > 0 ? rf_v3_ahead_pps / rf_v3_warm_pps : 0.0;
-  const double warm_ratio_measured =
-      rf_packets > 0 ? rf_warm_ratio : v3_ingest_ratio;
-  const double ahead_ratio_measured =
-      rf_packets > 0 ? rf_ahead_ratio : v3_ahead_ratio;
 
   // --- report --------------------------------------------------------------
   std::printf("\n%-22s %6s %-12s %9s", "scenario", "util", "workload",
@@ -1415,24 +1283,15 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(v1_bytes), text_ingest_pps,
               static_cast<double>(v1_bytes) / text_ingest.wall_seconds / 1e6,
               text_replay_pps);
-  std::printf("  v2 binary %9llu bytes  ingest %12.0f packets/sec "
-              "%8.1f MB/s   replay(4 modes) %12.0f packets/sec\n",
-              static_cast<unsigned long long>(v2_bytes), bin_ingest_pps,
-              static_cast<double>(v2_bytes) / bin_ingest.wall_seconds / 1e6,
-              bin_replay_pps);
   std::printf("  v3 blocks %9llu bytes  ingest %12.0f packets/sec "
               "%8.1f MB/s   replay(4 modes) %12.0f packets/sec\n",
               static_cast<unsigned long long>(v3_bytes), v3_ingest_pps,
               static_cast<double>(v3_bytes) / v3_ingest.wall_seconds / 1e6,
               v3_replay_pps);
-  std::printf("  binary ingest speedup %.2fx, v3/v2 warm-decode ratio "
-              "%.2fx, end-to-end replay speedup %.2fx, results identical: "
-              "%s\n",
-              disk_speedup, v3_ingest_ratio,
-              bin_replay_pps / text_replay_pps, disk_same ? "yes" : "NO");
-  std::printf("  v3 decode-ahead %12.0f packets/sec (%.2fx sync), fold "
-              "identical: %s\n",
-              v3_ahead_pps, v3_ahead_ratio, v3_ahead_same ? "yes" : "NO");
+  std::printf("  v3 ingest speedup %.2fx, end-to-end replay speedup "
+              "%.2fx, results identical: %s\n",
+              disk_speedup, v3_replay_pps / text_replay_pps,
+              disk_same ? "yes" : "NO");
   std::printf("  v3 steady-state allocations: %llu; block-seek walk %llu "
               "records in %.3fs (%.0f packets/sec), fold identical: %s\n",
               static_cast<unsigned long long>(v3_steady_allocs),
@@ -1442,13 +1301,14 @@ int main(int argc, char** argv) {
               v3_seek_same ? "yes" : "NO");
   std::printf("\nWAN bytes lane (I2 @70%%, hops recorded, %llu packets):\n",
               static_cast<unsigned long long>(wan_records));
-  std::printf("  v1 %10llu bytes (%6.1f B/pkt)  v2 %10llu bytes "
-              "(%6.1f B/pkt)  v3 %10llu bytes (%6.1f B/pkt)  v3/v2 %.3f\n",
+  std::printf("  v1 %10llu bytes (%6.1f B/pkt)  fixed-width %10llu bytes "
+              "(%6.1f B/pkt)  v3 %10llu bytes (%6.1f B/pkt)  v3/fixed "
+              "%.3f\n",
               static_cast<unsigned long long>(wan_v1_bytes),
               static_cast<double>(wan_v1_bytes) /
                   static_cast<double>(wan_records),
-              static_cast<unsigned long long>(wan_v2_bytes),
-              static_cast<double>(wan_v2_bytes) /
+              static_cast<unsigned long long>(wan_fixed_bytes),
+              static_cast<double>(wan_fixed_bytes) /
                   static_cast<double>(wan_records),
               static_cast<unsigned long long>(wan_v3_bytes),
               static_cast<double>(wan_v3_bytes) /
@@ -1473,34 +1333,21 @@ int main(int argc, char** argv) {
     std::printf("  tiled scale: %llu packets (base %llu, mixed:16:16:0.25)\n",
                 static_cast<unsigned long long>(rft.records),
                 static_cast<unsigned long long>(rft.base_records));
-    std::printf("    v2 %12llu bytes  write %7.2fs  ingest %12.0f pkt/s  "
-                "lstf replay %12.0f pkt/s\n",
-                static_cast<unsigned long long>(rft.v2_bytes),
-                rft.v2_write_wall,
-                static_cast<double>(rft.v2_ingest.records) /
-                    rft.v2_ingest.wall_seconds,
-                static_cast<double>(rft.records) / rft.v2_replay_wall);
-    std::printf("    v3 %12llu bytes  write %7.2fs  ingest %12.0f pkt/s  "
-                "lstf replay %12.0f pkt/s  overdue %.4f  identical: %s\n",
+    std::printf("    v3 %12llu bytes  write %7.2fs  warm ingest %12.0f "
+                "pkt/s  lstf replay %12.0f pkt/s  overdue %.4f\n",
                 static_cast<unsigned long long>(rft.v3_bytes),
-                rft.v3_write_wall,
-                static_cast<double>(rft.v3_ingest.records) /
-                    rft.v3_ingest.wall_seconds,
+                rft.v3_write_wall, rf_v3_warm_pps,
                 static_cast<double>(rft.records) / rft.v3_replay_wall,
-                rft.frac_overdue, rft.identical ? "yes" : "NO");
-    std::printf("    warm decode: v3 %12.0f pkt/s = %.2fx v2 %12.0f pkt/s; "
-                "decode-ahead %12.0f pkt/s (%.2fx sync)\n",
-                rf_v3_warm_pps, rf_warm_ratio, rf_v2_warm_pps,
-                rf_v3_ahead_pps, rf_ahead_ratio);
+                rft.frac_overdue);
     if (cold_available) {
-      std::printf("    cold-cache (disk lane, open+drain): v2 %12.0f "
-                  "pkt/s (%.0f MB/s), v3 %12.0f pkt/s, v3/v2 cold ingest "
-                  "ratio %.2fx%s\n",
-                  v2_cold_pps, v2_cold_mbps, v3_cold_pps, v3_cold_ratio,
-                  cold_is_credible ? "" : "  [cache-served, not gated]");
+      std::printf("    cold-cache (open+drain): v3 %12.0f pkt/s (%.0f MB/s)"
+                  "%s, fold identical: %s\n",
+                  v3_cold_pps, v3_cold_mbps,
+                  cold_is_credible ? "" : "  [cache-served]",
+                  rf_cold_same ? "yes" : "NO");
     } else {
-      std::printf("    cold-cache (disk lane): SKIPPED — page-cache "
-                  "eviction unavailable on this platform\n");
+      std::printf("    cold-cache: SKIPPED — page-cache eviction "
+                  "unavailable on this platform\n");
     }
   }
 
@@ -1544,42 +1391,31 @@ int main(int argc, char** argv) {
         << ", \"ratio\": " << residency_ratio << "},\n"
         << "  \"disk\": {\"trace_packets\": " << orig_big.trace.packets.size()
         << ", \"text_bytes\": " << v1_bytes
-        << ", \"binary_bytes\": " << v2_bytes
         << ",\n    \"text_ingest\": {\"wall_seconds\": "
         << text_ingest.wall_seconds
         << ", \"packets_per_sec\": " << text_ingest_pps
         << ", \"mb_per_sec\": "
         << static_cast<double>(v1_bytes) / text_ingest.wall_seconds / 1e6
-        << "},\n    \"binary_ingest\": {\"wall_seconds\": "
-        << bin_ingest.wall_seconds
-        << ", \"packets_per_sec\": " << bin_ingest_pps
-        << ", \"mb_per_sec\": "
-        << static_cast<double>(v2_bytes) / bin_ingest.wall_seconds / 1e6
         << "},\n    \"v3_bytes\": " << v3_bytes
         << ", \"v3_ingest\": {\"wall_seconds\": " << v3_ingest.wall_seconds
         << ", \"packets_per_sec\": " << v3_ingest_pps
         << ", \"mb_per_sec\": "
         << static_cast<double>(v3_bytes) / v3_ingest.wall_seconds / 1e6
-        << "},\n    \"v3_ingest_ratio\": " << v3_ingest_ratio
-        << ", \"v3_warm_packets_per_sec\": " << v3_ingest_pps
-        << ",\n    \"v3_ahead\": {\"packets_per_sec\": " << v3_ahead_pps
-        << ", \"ratio_vs_sync\": " << v3_ahead_ratio
-        << ", \"identical\": " << (v3_ahead_same ? "true" : "false")
-        << "},\n    \"v3_steady_state_allocs\": " << v3_steady_allocs
+        << "},\n    \"v3_warm_packets_per_sec\": " << v3_ingest_pps
+        << ",\n    \"v3_steady_state_allocs\": " << v3_steady_allocs
         << ",\n    \"v3_block_seek\": {\"records\": " << v3_seek.records
         << ", \"wall_seconds\": " << v3_seek.wall_seconds
         << ", \"identical\": " << (v3_seek_same ? "true" : "false")
         << "},\n    \"ingest_speedup\": " << disk_speedup
         << ",\n    \"text_replay_packets_per_sec\": " << text_replay_pps
-        << ", \"binary_replay_packets_per_sec\": " << bin_replay_pps
         << ", \"v3_replay_packets_per_sec\": " << v3_replay_pps
-        << ", \"replay_speedup\": " << bin_replay_pps / text_replay_pps
+        << ", \"replay_speedup\": " << v3_replay_pps / text_replay_pps
         << ", \"identical\": " << (disk_same ? "true" : "false") << "},\n"
         << "  \"wan_bytes\": {\"trace_packets\": " << wan_records
         << ", \"v1_bytes\": " << wan_v1_bytes
-        << ", \"v2_bytes\": " << wan_v2_bytes
+        << ", \"fixed_width_bytes\": " << wan_fixed_bytes
         << ", \"v3_bytes\": " << wan_v3_bytes
-        << ", \"v3_v2_ratio\": " << wan_v3_ratio << "},\n"
+        << ", \"v3_fixed_width_ratio\": " << wan_v3_ratio << "},\n"
         << "  \"rocketfuel\": {\"sweep\": [\n";
     for (std::size_t i = 0; i < rf_sweep.size(); ++i) {
       const auto& c = rf_sweep[i];
@@ -1600,35 +1436,19 @@ int main(int argc, char** argv) {
     if (rf_packets > 0) {
       out << ",\n  \"tiled\": {\"records\": " << rft.records
           << ", \"base_records\": " << rft.base_records
-          << ", \"v2_bytes\": " << rft.v2_bytes
           << ", \"v3_bytes\": " << rft.v3_bytes
-          << ", \"v2_write_seconds\": " << rft.v2_write_wall
           << ", \"v3_write_seconds\": " << rft.v3_write_wall
-          << ",\n    \"v2_ingest_packets_per_sec\": "
-          << static_cast<double>(rft.v2_ingest.records) /
-                 rft.v2_ingest.wall_seconds
-          << ", \"v3_ingest_packets_per_sec\": "
-          << static_cast<double>(rft.v3_ingest.records) /
-                 rft.v3_ingest.wall_seconds
-          << ",\n    \"warm_decode\": {\"v2_packets_per_sec\": "
-          << rf_v2_warm_pps << ", \"v3_packets_per_sec\": " << rf_v3_warm_pps
-          << ", \"v3_v2_ratio\": " << rf_warm_ratio
-          << ", \"v3_ahead_packets_per_sec\": " << rf_v3_ahead_pps
-          << ", \"ahead_sync_ratio\": " << rf_ahead_ratio
-          << "},\n    \"cold_ingest\": {\"available\": "
+          << ", \"v3_ingest_packets_per_sec\": " << rf_v3_warm_pps
+          << ",\n    \"cold_ingest\": {\"available\": "
           << (cold_available ? "true" : "false")
-          << ", \"v2_packets_per_sec\": " << v2_cold_pps
           << ", \"v3_packets_per_sec\": " << v3_cold_pps
-          << ", \"v3_v2_ratio\": " << v3_cold_ratio
-          << ", \"v2_mb_per_sec\": " << v2_cold_mbps
+          << ", \"v3_mb_per_sec\": " << v3_cold_mbps
           << ", \"storage_bound\": " << (cold_is_credible ? "true" : "false")
-          << "},\n    \"v2_replay_packets_per_sec\": "
-          << static_cast<double>(rft.records) / rft.v2_replay_wall
-          << ", \"v3_replay_packets_per_sec\": "
+          << ", \"identical\": " << (rf_cold_same ? "true" : "false")
+          << "},\n    \"v3_replay_packets_per_sec\": "
           << static_cast<double>(rft.records) / rft.v3_replay_wall
           << ", \"frac_overdue\": " << rft.frac_overdue
           << ", \"frac_overdue_beyond_T\": " << rft.frac_overdue_beyond_T
-          << ", \"identical\": " << (rft.identical ? "true" : "false")
           << "}";
     }
     out << "},\n"
@@ -1849,59 +1669,18 @@ int main(int argc, char** argv) {
     ++failures;
   }
   if (!disk_same) {
-    gate_print("FAIL: binary disk replay differs from the text path "
+    gate_print("FAIL: v3 disk replay differs from the text path "
                "(format round-trip or cursor bug)\n");
     ++failures;
   }
   if (disk_speedup < min_disk_speedup) {
-    gate_print("FAIL: binary replay ingestion %.2fx text reader < %.2fx "
-               "bar\n",
+    gate_print("FAIL: v3 replay ingestion %.2fx text reader < %.2fx bar\n",
                disk_speedup, min_disk_speedup);
-    ++failures;
-  }
-  // The ingest gate runs on the disk lane (cold cache): that is the regime
-  // the block format exists for — once the file is off storage the bytes
-  // moved dominate, and v3's ~3x smaller files must make it the faster
-  // ingest path. The gate only means something when storage actually
-  // bounds the drain, hence the bandwidth credibility check (warm-cache
-  // decode has its own machine-relative floor below).
-  if (!cold_available) {
-    gate_print("v3 ingest gate SKIPPED: needs the RocketFuel tiled lane "
-               "(--rf-packets=N) and platform page-cache eviction\n");
-  } else if (!cold_is_credible) {
-    std::printf("v3 ingest gate SKIPPED: post-eviction v2 read ran at "
-                "%.0f MB/s (> %.0f MB/s) — a cache below the page cache "
-                "served the bytes, so the storage-bound regime this gate "
-                "protects is absent here (v3/v2 cold ratio %.2fx recorded, "
-                "not gated)\n",
-                v2_cold_mbps, kColdCredibleMBps, v3_cold_ratio);
-  } else if (v3_cold_ratio < min_v3_ingest_ratio) {
-    gate_print("FAIL: v3 cold-cache ingest %.0f packets/sec is %.2fx the "
-               "v2 cursor's %.0f — below the %.2fx bar\n",
-               v3_cold_pps, v3_cold_ratio, v2_cold_pps,
-               min_v3_ingest_ratio);
-    ++failures;
-  }
-  // Decode-ahead identity is non-negotiable: the pipelined cursor must be
-  // indistinguishable from the synchronous one, on every machine.
-  if (!v3_ahead_same) {
-    gate_print("FAIL: decode-ahead drain folded differently from the "
-               "synchronous v3 cursor (pipeline ordering bug)\n");
-    ++failures;
-  }
-  // Warm-decode floor (off by default; CI pins the measured floor). The
-  // ratio is machine-relative — v3/v2 on the same box, same run — so it
-  // transfers across hardware in a way an absolute packets/sec bar cannot.
-  if (min_v3_warm_ratio > 0.0 && warm_ratio_measured < min_v3_warm_ratio) {
-    gate_print("FAIL: v3 warm decode is %.2fx the v2 cursor (%s lane) — "
-               "below the %.2fx bar\n",
-               warm_ratio_measured, rf_packets > 0 ? "tiled" : "disk",
-               min_v3_warm_ratio);
     ++failures;
   }
   // Warm-decode anchor vs the committed baseline (skip when the baseline
   // predates the anchor field): catches a decoder change that tanks warm
-  // throughput even when the v2 cursor slows down alongside it.
+  // throughput.
   if (min_warm_baseline_ratio > 0.0 && !baseline_path.empty()) {
     if (committed_warm_pps <= 0.0) {
       std::printf("warm-baseline gate SKIPPED: %s has no "
@@ -1915,28 +1694,12 @@ int main(int argc, char** argv) {
       ++failures;
     }
   }
-  // Decode-ahead throughput needs a real second core for the decoder
-  // thread; a 1-core box measures pure pipeline overhead, so it reports
-  // instead of failing (mirrors the sharded-speedup skip rule).
-  if (hw != 1) {
-    if (ahead_ratio_measured < min_ahead_ratio) {
-      gate_print("FAIL: decode-ahead drain is %.2fx the synchronous "
-                 "cursor (%s lane) — below the %.2fx bar\n",
-                 ahead_ratio_measured, rf_packets > 0 ? "tiled" : "disk",
-                 min_ahead_ratio);
-      ++failures;
-    }
-  } else {
-    std::printf("decode-ahead throughput gate SKIPPED: 1 hardware thread — "
-                "measured %.2fx sync (identity still gated)\n",
-                ahead_ratio_measured);
-  }
   if (wan_v3_ratio > max_v3_bytes_ratio) {
-    gate_print("FAIL: WAN v3 trace is %.3fx the v2 bytes (> %.2fx bar): "
-               "%llu vs %llu bytes\n",
+    gate_print("FAIL: WAN v3 trace is %.3fx the fixed-width bytes (> %.2fx "
+               "bar): %llu vs %llu bytes\n",
                wan_v3_ratio, max_v3_bytes_ratio,
                static_cast<unsigned long long>(wan_v3_bytes),
-               static_cast<unsigned long long>(wan_v2_bytes));
+               static_cast<unsigned long long>(wan_fixed_bytes));
     ++failures;
   }
   if (v3_steady_allocs != 0) {
@@ -1950,9 +1713,8 @@ int main(int argc, char** argv) {
                "sequential drain (index/seek bug)\n");
     ++failures;
   }
-  if (!rf_tiled_ok) {
-    gate_print("FAIL: RocketFuel tiled v2 and v3 traces disagree "
-               "(ingest checksum or replay counters)\n");
+  if (!rf_cold_same) {
+    gate_print("FAIL: cold-cache v3 drain diverged from the warm drain\n");
     ++failures;
   }
   // Skip only on a *known* single-core box; hardware_concurrency() == 0

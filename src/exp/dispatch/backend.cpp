@@ -184,7 +184,6 @@ shard_replay run_disk_job(const job_plan& plan, std::size_t job) {
   out.result = run_replay_file(d.trace_path, d.topology, d.threshold_T,
                                out.mode, plan.options.keep_outcomes,
                                plan.options.injection,
-                               net::trace_access::sequential,
                                plan.options.replay_flow);
   out.wall_seconds = wall_seconds_since(t0);
   return out;

@@ -7,7 +7,7 @@
 //   serial   — an inline loop on the calling thread (the reference)
 //   thread   — the PR-2 thread pool (workers share this address space)
 //   process  — a coordinator that forks N worker processes over the shared
-//              plan (and, for disk plans, one shared mmap'd v2/v3 trace),
+//              plan (and, for disk plans, one shared mmap'd v3 trace),
 //              hands out job ranges over a socketpair frame protocol
 //              (exp/dispatch/wire.h), merges results into pre-assigned
 //              slots, and survives a worker dying mid-run (reassign,
@@ -81,7 +81,7 @@ struct shard_options {
 
 // One on-disk trace fanned across candidate replay modes. Every worker —
 // thread or forked process — opens its own cursor over the same path; for
-// a v2/v3 binary trace that is a read-only shared mapping, so N workers
+// a v3 trace that is a read-only shared mapping, so N workers
 // replaying the trace touch one physical copy and zero parse work.
 struct disk_shard_task {
   std::string trace_path;

@@ -7,7 +7,7 @@
 // Fork, not exec: a worker inherits the whole plan (scenarios, topology,
 // modes) copy-on-write, so nothing but job indices travels coordinator ->
 // worker, and only encoded results travel back (core/replay_codec.h). For
-// a disk plan every worker opens its own cursor over the same v2/v3 trace
+// a disk plan every worker opens its own cursor over the same v3 trace
 // path — a read-only mmap the kernel backs with one physical copy.
 //
 // Failure discipline: a worker dying mid-run (exit, SIGKILL, garbage on

@@ -86,7 +86,6 @@ core::replay_result run_replay_file(const std::string& trace_path,
                                     core::replay_mode mode,
                                     bool keep_outcomes,
                                     core::injection_mode injection,
-                                    net::trace_access access,
                                     const net::flow_spec& flow) {
   core::replay_options opt;
   opt.mode = mode;
@@ -94,7 +93,7 @@ core::replay_result run_replay_file(const std::string& trace_path,
   opt.keep_outcomes = keep_outcomes;
   opt.injection = injection;
   opt.flow = flow;
-  const auto cur = net::open_trace_cursor(trace_path, access);
+  const auto cur = net::open_trace_cursor(trace_path);
   return core::replay_trace(
       *cur, [&topology](net::network& n) { topo::populate(topology, n); },
       opt);

@@ -44,18 +44,14 @@ struct original_run {
 
 // Replays a trace straight from disk over `topology`: the file's format is
 // sniffed (net::open_trace_cursor), so a v3 trace replays through the
-// block-decoding cursor, a v2 binary trace through a zero-copy mmap cursor,
-// and a v1 text trace through the streaming parser. A v1 file must be
-// ingress-sorted (net::sort_by_ingress before saving); v2/v3 carry their
-// own ingress structure and need no preparation. `access` is the page-cache
-// advice for the binary cursors: a whole-file replay wants the sequential
-// default; callers that seek around the file first should pass random.
+// block-decoding cursor and a v1 text trace through the streaming parser.
+// A v1 file must be ingress-sorted (net::sort_by_ingress before saving);
+// v3 carries its own ingress structure and needs no preparation.
 [[nodiscard]] core::replay_result run_replay_file(
     const std::string& trace_path, const topo::topology& topology,
     sim::time_ps threshold_T, core::replay_mode mode,
     bool keep_outcomes = false,
     core::injection_mode injection = core::injection_mode::streaming,
-    net::trace_access access = net::trace_access::sequential,
     const net::flow_spec& flow = {});
 
 // Convenience: original + LSTF replay in one call (a Table 1 row).

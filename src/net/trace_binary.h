@@ -1,49 +1,11 @@
-// Binary schedule-trace formats: `ups-trace v2b` and `ups-trace v3`.
+// Binary schedule-trace format `ups-trace v3`.
 //
 // The text format (trace_io.h) is the diffable interchange representation;
-// these are the replay representations. Text parsing dominates disk replay —
-// every field costs an istream round-trip — while a fixed-layout record
-// costs a handful of unaligned loads, so a v2 file mmaps and replays
-// I/O-bound, and multiple shard workers can walk the same read-only mapping
-// without a per-worker copy of the trace. v3 trades v2's fixed 72-byte
-// record prefix for block-structured delta-varint columns: ~3x smaller on
-// WAN traces and decoded in tight per-field loops, which is what keeps the
-// disk lane the fast path once a trace no longer fits in page cache.
-//
-// v2 on-disk layout (all integers little-endian, no padding):
-//
-//   header   32 bytes
-//     0   8  magic            "UPSTRCv2"
-//     8   4  version          2 (kTraceV2Version)
-//     12  4  header_bytes     32
-//     16  8  record_count
-//     24  8  index_offset     first byte of the footer index; records
-//                             occupy [32, index_offset)
-//   records  back to back from byte 32, each:
-//     u32  payload_len        bytes after this prefix;
-//                             == 72 + 4*path_len + 8*departs_len
-//                                (+ 16 when a drop suffix follows)
-//     u64  id        u64 flow_id      u32 seq_in_flow   u32 size_bytes
-//     i32  src_host  i32 dst_host
-//     i64  ingress_time        i64 egress_time   i64 queueing_delay
-//     u64  flow_size_bytes
-//     u32  path_len  u32 departs_len
-//     i32  path[path_len]      i64 hop_departs[departs_len]
-//     optional drop suffix (only for records of packets lost in the
-//     original run; its presence is exactly the extra 16 payload bytes):
-//       i32  drop_hop   u32 drop_kind (0 buffer, 1 wire)   i64 drop_time
-//     optional stall suffix (only for records of packets that parked as a
-//     blocked head under flow control; follows the drop suffix when both
-//     are present and is sniffed by its 20 extra payload bytes + tag):
-//       u32  tag "STLL"   i32 stall_hop   u32 stall_count   i64 stall_time
-//   footer index at index_offset
-//     u64  offsets[record_count]   byte offset of each record's length
-//                                  prefix, sorted by (ingress_time, offset)
-//
-// File size must equal index_offset + 8*record_count exactly. The footer
-// index is what lets replay walk a recorder-ordered (egress-time) file in
-// ingress order with zero re-sorting; readers verify the order and throw
-// trace_format_error on violation rather than misreplaying.
+// v3 is the replay representation. Text parsing dominates disk replay —
+// every field costs an istream round-trip — while v3 stores
+// block-structured delta-varint columns decoded in tight per-field loops,
+// mmapped read-only so multiple shard workers can walk the same mapping
+// without a per-worker copy of the trace.
 //
 // v3 on-disk layout (all integers little-endian, varints LEB128):
 //
@@ -117,29 +79,12 @@
 #include <cstddef>
 #include <cstdint>
 #include <iosfwd>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "net/trace.h"
 
 namespace ups::net {
-
-inline constexpr char kTraceV2Magic[8] = {'U', 'P', 'S', 'T',
-                                          'R', 'C', 'v', '2'};
-inline constexpr std::uint32_t kTraceV2Version = 2;
-inline constexpr std::uint32_t kTraceV2HeaderBytes = 32;
-// Fixed (non-array) payload bytes of one record.
-inline constexpr std::uint32_t kTraceV2FixedPayloadBytes = 72;
-// Optional per-record drop suffix (i32 drop_hop, u32 drop_kind,
-// i64 drop_time); present exactly when the payload length says so.
-inline constexpr std::uint32_t kTraceV2DropSuffixBytes = 16;
-// Optional per-record stall suffix (u32 "STLL" tag, i32 stall_hop,
-// u32 stall_count, i64 stall_time); follows the drop suffix when both are
-// present. The tag disambiguates a stall-only record (payload + 20) from
-// any future 20-byte extension.
-inline constexpr std::uint32_t kTraceV2StallSuffixBytes = 20;
-inline constexpr std::uint32_t kTraceV2StallTag = 0x4C4C5453;  // "STLL" LE
 
 inline constexpr char kTraceV3Magic[8] = {'U', 'P', 'S', 'T',
                                           'R', 'C', 'v', '3'};
@@ -170,162 +115,18 @@ inline constexpr const char* kTraceV3ColumnNames[kTraceV3MaxColumnCount] = {
   return 24 + 4 * column_count;
 }
 
-// Page-cache advice for file-backed cursors: a serial replay drains the
+// Page-cache advice for the file-backed cursor: a serial replay drains the
 // whole mapping front to back (MADV_SEQUENTIAL — aggressive readahead,
 // early reclaim), a block-seek consumer jumps via the index
 // (MADV_RANDOM — no wasted readahead). Matters once the trace exceeds page
 // cache; harmless below that.
-//
-// `decode_ahead` is `sequential` plus a background decoder: the v3 cursor
-// runs block decode on its own thread, feeding next()/next_run() through a
-// bounded lock-free ring of decoded-block scratches, so varint decode
-// overlaps the simulation loop. Record-for-record identical to the
-// synchronous cursor (including seeks, which restart the pipeline at the
-// new position, and decode errors, which surface at the block where the
-// serial decoder would have thrown). The v2 cursor treats it as
-// `sequential`.
-enum class trace_access : std::uint8_t { sequential, random, decode_ahead };
+enum class trace_access : std::uint8_t { sequential, random };
 
-// Streaming v2 writer: append records one at a time (the converter and the
-// recorder-side pipeline never hold the whole trace), then finish() writes
-// the footer ingress index and patches the header counts. The stream must
-// be seekable (a file or a stringstream) and outlive the writer. The
-// retained per-record state is the 16-byte (ingress, offset) footer-index
-// entry — 16 B/record is the price of v2's record-granular index (1.6 GB of
-// writer memory at 1e8 records); the v3 writer's block-granular index needs
-// only 32 B/block (~0.008 B/record), which is why the large-trace pipeline
-// writes v3.
-class trace_binary_writer {
- public:
-  explicit trace_binary_writer(std::ostream& os);
-  trace_binary_writer(const trace_binary_writer&) = delete;
-  trace_binary_writer& operator=(const trace_binary_writer&) = delete;
-
-  void append(const packet_record& r);
-  // Writes the footer index + final header. Must be called exactly once;
-  // appending afterwards is a logic error.
-  void finish();
-
-  [[nodiscard]] std::uint64_t written() const noexcept {
-    return index_.size();
-  }
-
- private:
-  std::ostream* os_;
-  std::uint64_t offset_ = kTraceV2HeaderBytes;  // next record's file offset
-  std::vector<std::pair<sim::time_ps, std::uint64_t>> index_;
-  std::vector<std::uint8_t> buf_;  // reused record serialization scratch
-  bool finished_ = false;
-};
-
-void write_trace_v2(std::ostream& os, const trace& t);
-void save_trace_v2(const std::string& path, const trace& t);
-
-// True when the file starts with the respective magic; false for anything
-// else, including files too short to hold one. Throws only when the file
-// cannot be opened. The sniffing primitives behind open_trace_cursor and
-// tracec's format dispatch.
-[[nodiscard]] bool is_trace_v2_file(const std::string& path);
+// True when the file starts with the v3 magic; false for anything else,
+// including files too short to hold one. Throws only when the file cannot
+// be opened. The sniffing primitive behind open_trace_cursor and tracec's
+// format dispatch.
 [[nodiscard]] bool is_trace_v3_file(const std::string& path);
-
-// Decodes a whole v2 file into memory in *file* order (the order records
-// were appended, i.e. what the recorder produced) — the converter's path
-// back to text. Replay should use trace_mmap_cursor instead.
-[[nodiscard]] trace load_trace_v2(const std::string& path);
-[[nodiscard]] trace read_trace_v2(const std::uint8_t* data, std::size_t size);
-
-// Zero-copy view of one encoded v2 record's fixed prefix: field accessors
-// are unaligned little-endian loads straight off the mapping, no
-// packet_record is materialized. Used wherever only a few fields are needed
-// (the cursor's ingress peek, `tracec inspect`).
-class record_view {
- public:
-  // `payload` points at the first byte after the length prefix and must
-  // cover at least kTraceV2FixedPayloadBytes (the cursor validates).
-  explicit record_view(const std::uint8_t* payload) noexcept : p_(payload) {}
-
-  [[nodiscard]] std::uint64_t id() const noexcept;
-  [[nodiscard]] std::uint64_t flow_id() const noexcept;
-  [[nodiscard]] std::uint32_t seq_in_flow() const noexcept;
-  [[nodiscard]] std::uint32_t size_bytes() const noexcept;
-  [[nodiscard]] node_id src_host() const noexcept;
-  [[nodiscard]] node_id dst_host() const noexcept;
-  [[nodiscard]] sim::time_ps ingress_time() const noexcept;
-  [[nodiscard]] sim::time_ps egress_time() const noexcept;
-  [[nodiscard]] sim::time_ps queueing_delay() const noexcept;
-  [[nodiscard]] std::uint64_t flow_size_bytes() const noexcept;
-  [[nodiscard]] std::uint32_t path_len() const noexcept;
-  [[nodiscard]] std::uint32_t departs_len() const noexcept;
-
- private:
-  const std::uint8_t* p_;
-};
-
-// Ingress-ordered trace_cursor over a v2 file: mmaps the file read-only and
-// walks the footer index, so replay starts without parsing, sorting, or
-// copying the trace. Records are decoded into reused packet_record slots
-// (vector capacities persist across records — zero steady-state
-// allocation); the same-instant run length is discovered by peeking the
-// ingress field straight off the mapping via record_view, so next_run()
-// decodes exactly the records it hands out.
-//
-// Header and index bounds are validated at construction; per-record bounds
-// and the index's ingress order are validated as the cursor advances. Every
-// violation throws trace_format_error — a truncated or bit-flipped file can
-// fail loudly but never reads out of bounds.
-class trace_mmap_cursor final : public trace_cursor {
- public:
-  // Maps the file (read-only, shared pages: N workers replaying the same
-  // trace touch one physical copy) and applies the access advice.
-  explicit trace_mmap_cursor(const std::string& path,
-                             trace_access access = trace_access::sequential);
-  // Borrows an external buffer (tests over mutated images, callers that
-  // already hold a mapping). The buffer must outlive the cursor.
-  trace_mmap_cursor(const std::uint8_t* data, std::size_t size);
-  ~trace_mmap_cursor() override;
-  trace_mmap_cursor(const trace_mmap_cursor&) = delete;
-  trace_mmap_cursor& operator=(const trace_mmap_cursor&) = delete;
-
-  [[nodiscard]] const packet_record* next() override;
-  std::size_t next_run(std::vector<const packet_record*>& out) override;
-  [[nodiscard]] std::size_t size_hint() const noexcept override {
-    return static_cast<std::size_t>(count_);
-  }
-  // Records handed out so far.
-  [[nodiscard]] std::size_t read() const noexcept {
-    return static_cast<std::size_t>(pos_);
-  }
-  // Fixed-prefix view of the record at index position `i` (ingress order),
-  // bounds-checked. Exposed for inspection tools.
-  [[nodiscard]] record_view view_at(std::uint64_t i) const;
-
-  [[nodiscard]] const std::uint8_t* data() const noexcept { return data_; }
-  [[nodiscard]] std::size_t file_size() const noexcept { return size_; }
-
- private:
-  void validate_header();
-  // Byte offset of the record at index position `i` (throws on a
-  // out-of-bounds or misordered index entry).
-  [[nodiscard]] std::uint64_t record_offset(std::uint64_t i) const;
-  // Payload pointer + length check for the record at file offset `off`.
-  [[nodiscard]] const std::uint8_t* payload_at(std::uint64_t off,
-                                               std::uint32_t& len) const;
-  void decode_into(std::uint64_t i, packet_record& r);
-
-  const std::uint8_t* data_ = nullptr;
-  std::size_t size_ = 0;
-  void* mapping_ = nullptr;  // non-null when this cursor owns an mmap
-  std::size_t mapping_size_ = 0;
-  std::vector<std::uint8_t> owned_bytes_;  // no-mmap fallback storage
-
-  std::uint64_t count_ = 0;
-  std::uint64_t index_offset_ = 0;
-  std::uint64_t pos_ = 0;           // next index position to hand out
-  sim::time_ps last_ingress_ = -1;  // index-order watermark
-  std::vector<packet_record> slots_;  // reused decode targets for one run
-};
-
-// --- v3 ----------------------------------------------------------------------
 
 // Streaming v3 writer with O(1 block) record memory: fields of the current
 // block accumulate in per-column varint buffers, a full block is flushed as
@@ -333,16 +134,14 @@ class trace_mmap_cursor final : public trace_cursor {
 // entry per block. The leading index region is reserved at construction
 // (`record_capacity` rounds up to index slots), so the caller must know an
 // upper bound on the record count — every producer in this codebase does
-// (in-memory traces, the v1 header's declared count, a v2/v3 header's
+// (in-memory traces, the v1 header's declared count, a v3 header's
 // record_count). finish() seeks back, fills the index, and patches the
 // header; unused reserved slots stay zeroed (32 wasted bytes each, only
 // when fewer records arrive than the capacity promised).
 //
 // Records must be appended in non-decreasing ingress order — the block
-// index can only bound-and-seek over a sorted file (v2's per-record footer
-// could absorb any order; that is exactly what made it 8 B/record on disk
-// and 16 B/record in writer memory). Out-of-order appends throw
-// trace_format_error.
+// index can only bound-and-seek over a sorted file. Out-of-order appends
+// throw trace_format_error.
 class trace_v3_writer {
  public:
   // `with_drops` widens the column set to kTraceV3DropColumnCount so drop
@@ -400,7 +199,7 @@ class trace_v3_writer {
 // Whole-trace writers: records are emitted in (ingress_time, position)
 // order — the same stable tie-break trace_ingress_cursor uses — so the
 // input trace may be in any order and replay outcomes stay byte-identical
-// to the v1/v2 paths.
+// to the v1 path.
 void write_trace_v3(std::ostream& os, const trace& t);
 void save_trace_v3(const std::string& path, const trace& t);
 
@@ -485,10 +284,8 @@ class trace_v3_cursor final : public trace_cursor {
 
  private:
   // Everything one block decode produces, structure-of-arrays plus the
-  // assembled records — self-contained so the synchronous cursor can own
-  // one and the decode-ahead pipeline a small pool cycled through a ring.
-  // All vector capacities persist across reuse (zero steady-state
-  // allocation once warm).
+  // assembled records. All vector capacities persist across reuse (zero
+  // steady-state allocation once warm).
   struct v3_block_scratch {
     std::uint64_t block = UINT64_MAX;  // block id this scratch holds
     std::uint32_t n = 0;               // records decoded
@@ -511,21 +308,14 @@ class trace_v3_cursor final : public trace_cursor {
     // seen and never shrunk so slot capacities persist.
     std::vector<packet_record> records;
   };
-  struct pipeline;  // decode-ahead state (thread + rings); in the .cpp
-
   void validate_header_and_index();
-  // Decodes block `b` into `sc`. Reads only immutable cursor state, so the
-  // decode-ahead thread can run it concurrently with the consumer.
+  // Decodes block `b` into `sc`.
   void decode_block_into(std::uint64_t b, v3_block_scratch& sc) const;
   void assemble(const v3_block_scratch& sc, std::uint32_t i,
                 packet_record& r) const;
   // Makes the next block current if the present one is exhausted; false at
-  // end of file. Dispatches to the pipeline under decode_ahead.
+  // end of file.
   bool ensure_block();
-  bool ensure_block_ahead();
-  void start_pipeline();
-  void stop_pipeline();
-  void pipeline_main(std::uint64_t first_block) noexcept;
 
   const std::uint8_t* data_ = nullptr;
   std::size_t size_ = 0;
@@ -540,18 +330,14 @@ class trace_v3_cursor final : public trace_cursor {
   std::uint32_t records_per_block_ = 0;
   std::uint32_t ncols_ = kTraceV3ColumnCount;  // from the header
 
-  // Serving state: blk_ points at the scratch holding the current block
-  // (the cursor-owned scratch_ when synchronous, a pool slot when the
-  // pipeline runs).
-  const v3_block_scratch* blk_ = nullptr;
+  // Serving state over the block decoded into scratch_.
   std::uint64_t cur_block_ = UINT64_MAX;
   std::uint32_t block_n_ = 0;   // records in the decoded block
   std::uint32_t block_pos_ = 0; // next record within the decoded block
   std::uint64_t next_block_ = 0;
   std::uint64_t served_ = 0;
   bool seeked_ = false;
-  v3_block_scratch scratch_;  // synchronous decode target
-  std::unique_ptr<pipeline> pipe_;  // non-null iff access == decode_ahead
+  v3_block_scratch scratch_;  // decode target
   std::vector<packet_record> slots_;  // copy-out storage for runs that
                                       // span a block boundary (rare)
 };

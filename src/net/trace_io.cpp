@@ -208,10 +208,7 @@ std::unique_ptr<trace_cursor> open_trace_cursor(const std::string& path,
   if (is_trace_v3_file(path)) {
     return std::make_unique<trace_v3_cursor>(path, access);
   }
-  if (is_trace_v2_file(path)) {
-    return std::make_unique<trace_mmap_cursor>(path, access);
-  }
-  // Not binary: hand it to the text reader, whose magic check produces the
+  // Not v3: hand it to the text reader, whose magic check produces the
   // error for anything that is not a trace at all.
   return std::make_unique<trace_stream_reader>(path);
 }

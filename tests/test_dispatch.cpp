@@ -392,8 +392,8 @@ TEST(dispatch_process, disk_plan_identity_on_gadget_trace) {
   const auto g = ups::testing::run_gadget_original(topo::fig5_case(1));
   auto trace = g.trace;
   net::sort_by_ingress(trace);
-  temp_trace file("test_dispatch_gadget.v2.trace");
-  net::save_trace_v2(file.path, trace);
+  temp_trace file("test_dispatch_gadget.v1.trace");
+  net::save_trace(file.path, trace);
 
   disk_shard_task task;
   task.trace_path = file.path;
@@ -468,8 +468,8 @@ TEST(dispatch_process, per_slot_failure_spares_the_rest_of_the_plan) {
   sc.packet_budget = 1'200;
   auto orig = run_original(sc);
   net::sort_by_ingress(orig.trace);
-  temp_trace file("test_dispatch_nohops.v2.trace");
-  net::save_trace_v2(file.path, orig.trace);
+  temp_trace file("test_dispatch_nohops.v3.trace");
+  net::save_trace_v3(file.path, orig.trace);
 
   disk_shard_task task;
   task.trace_path = file.path;
