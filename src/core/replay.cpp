@@ -42,6 +42,21 @@ sched_kind scheduler_for(replay_mode m) {
 net::packet_ptr packet_from_record(net::network& net,
                                    const net::packet_record& r,
                                    const replay_options& opt) {
+  // Node ids come from a file: check them against the topology before any
+  // of them indexes the network (an empty path is routed from the hosts).
+  const auto is_kind = [&net](net::node_id id, net::node_kind kind) {
+    return id >= 0 && static_cast<std::size_t>(id) < net.node_count() &&
+           net.node_at(id).kind == kind;
+  };
+  if (!is_kind(r.src_host, net::node_kind::host) ||
+      !is_kind(r.dst_host, net::node_kind::host)) {
+    throw std::invalid_argument("replay: record host id is not a host");
+  }
+  for (const net::node_id v : r.path) {
+    if (!is_kind(v, net::node_kind::router)) {
+      throw std::invalid_argument("replay: record path entry is not a router");
+    }
+  }
   net::packet_ptr p = net.pool().make();
   p->id = r.id;
   p->flow_id = r.flow_id;

@@ -58,6 +58,7 @@ original_run run_original(const scenario& sc) {
   sim.run();
   out.peak_pool_packets = net.pool().created();
   out.peak_event_slots = sim.slot_capacity();
+  out.route_trees = net.stats().route_trees;
   out.flows_completed = made.src->flows_completed();
   out.peak_outstanding_flows = made.src->peak_outstanding();
   out.trace = recorder.take();

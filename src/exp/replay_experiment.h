@@ -23,6 +23,8 @@ struct original_run {
   // bounded-outstanding source keeps this at O(in-flight).
   std::uint64_t peak_pool_packets = 0;
   std::uint64_t peak_event_slots = 0;
+  // Dijkstra trees the recording network computed (network_stats).
+  std::uint64_t route_trees = 0;
   // Source accounting (closed-loop: flows delivered end-to-end).
   std::uint64_t flows_completed = 0;
   std::uint64_t peak_outstanding_flows = 0;

@@ -149,22 +149,33 @@ void network::route(node_id src_host, node_id dst_host,
   const std::int32_t t = router_index_[attachment(dst_host)];
   // A host "attached" to another host has no router row: unroutable too.
   if (s < 0 || t < 0) throw std::runtime_error("network: no route");
+  if (t == s) {
+    out.assign(1, router_ids_[s]);
+    return;
+  }
+  // A stub (exactly one router edge) starts every path with that edge, so
+  // its neighbour's row, with the stub prepended, is its own row. One
+  // level only: a stub whose neighbour is a stub too uses the neighbour's
+  // own row.
+  const auto& edges = route_graph_[s];
+  const std::int32_t root = edges.size() == 1 ? edges.front().to : s;
   const std::size_t n = router_ids_.size();
-  if (route_row_[s] < 0) {
+  if (route_row_[root] < 0) {
     const std::size_t slot = route_prev_.size() / n;
     route_prev_.resize((slot + 1) * n);
-    shortest_path_tree(route_graph_, s, std::span(route_prev_).last(n));
-    route_row_[s] = static_cast<std::int32_t>(slot);
+    shortest_path_tree(route_graph_, root, std::span(route_prev_).last(n));
+    route_row_[root] = static_cast<std::int32_t>(slot);
     ++stats_.route_trees;
   }
   const node_id* prev =
-      route_prev_.data() + static_cast<std::size_t>(route_row_[s]) * n;
-  if (t != s && prev[t] == kInvalidNode) {
+      route_prev_.data() + static_cast<std::size_t>(route_row_[root]) * n;
+  if (t != root && prev[t] == kInvalidNode) {
     throw std::runtime_error("network: no route");
   }
   out.clear();
-  for (node_id v = t; v != s; v = prev[v]) out.push_back(router_ids_[v]);
-  out.push_back(router_ids_[s]);
+  for (node_id v = t; v != root; v = prev[v]) out.push_back(router_ids_[v]);
+  out.push_back(router_ids_[root]);
+  if (root != s) out.push_back(router_ids_[s]);
   std::reverse(out.begin(), out.end());
 }
 

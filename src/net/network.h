@@ -70,8 +70,9 @@ struct network_stats {
   sim::time_ps flow_stall_time = 0;
   std::uint64_t watchdog_transient = 0;
   std::uint64_t watchdog_persistent = 0;
-  // Dijkstra trees computed by route(): at most one per source router, and
-  // zero for a network that only replays recorded paths.
+  // Dijkstra trees computed by route(): at most one per source router that
+  // is not a stub (stubs reuse their neighbour's), and zero for a network
+  // that only replays recorded paths.
   std::uint64_t route_trees = 0;
 };
 
@@ -152,9 +153,12 @@ class network {
 
   // Stores in `out` (reusing its capacity) the router-level shortest path
   // between the routers serving two hosts (weight = propagation delay + 1ps
-  // per hop; deterministic tie-breaks). The first lookup from a source
-  // router computes its predecessor row; later ones only walk it. Throws
-  // std::runtime_error when no route exists.
+  // per hop; deterministic tie-breaks). A self route is the one router and
+  // computes nothing. A stub source router (exactly one router edge) walks
+  // its neighbour's predecessor row and prepends itself; any other source
+  // router walks its own. The first lookup that needs a row computes it;
+  // later ones only walk it. Throws std::runtime_error, leaving `out`
+  // untouched, when no route exists.
   void route(node_id src_host, node_id dst_host, std::vector<node_id>& out);
 
   // Minimum remaining network traversal time for p from path[from_hop] to
@@ -231,9 +235,10 @@ class network {
 
   // Lazy predecessor rows over the router-only graph (dense router indices,
   // host links excluded). route_row_[i] is the slot of router i's row in
-  // route_prev_, -1 until the first route() from it; a row holds one
-  // predecessor per router from one Dijkstra tree, so a network that never
-  // routes (replay) computes no tree and holds no row.
+  // route_prev_, -1 until the first route() that needs it (stubs never get
+  // one); a row holds one predecessor per router from one Dijkstra tree, so
+  // a network that never routes (replay) computes no tree and holds no
+  // row.
   std::vector<std::int32_t> router_index_;  // node_id -> dense router index
   std::vector<node_id> router_ids_;         // dense router index -> node_id
   routing_graph route_graph_;

@@ -27,7 +27,11 @@ void shortest_path_tree(const routing_graph& g, node_id s,
           (nd == dist[e.to] && prev[e.to] != kInvalidNode && u < prev[e.to])) {
         dist[e.to] = nd;
         prev[e.to] = u;
-        pq.emplace(nd, e.to);
+        // A node whose only edge leads back to u is settled here: popping
+        // it could only relax that edge to u, already settled with a
+        // smaller distance, so it stays off the heap.
+        const auto& back = g[e.to];
+        if (back.size() != 1 || back.front().to != u) pq.emplace(nd, e.to);
       }
     }
   }

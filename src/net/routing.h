@@ -16,7 +16,8 @@ struct routing_edge {
 
 using routing_graph = std::vector<std::vector<routing_edge>>;
 
-// Shortest path from s to t (inclusive of both). Ties are broken toward the
+// Shortest path from s to t (inclusive of both) over positive edge weights
+// (network uses propagation delay + 1ps). Ties are broken toward the
 // smaller predecessor id so routes are deterministic across runs.
 // Returns an empty vector when t is unreachable.
 [[nodiscard]] std::vector<node_id> shortest_path(const routing_graph& g,
@@ -26,8 +27,9 @@ using routing_graph = std::vector<std::vector<routing_edge>>;
 // (prev.size() == g.size()): prev[v] is v's predecessor on the shortest
 // s->v path (tie-broken exactly as shortest_path), kInvalidNode when v is
 // unreachable and for s itself. A path is the walk from t back along prev
-// to s; network keeps one such row per source router, computed on its
-// first route lookup.
+// to s; network keeps one such row per source router that is not a stub,
+// computed on its first route lookup. A node whose only edge leads back to
+// the node relaxing it is settled without entering the heap.
 void shortest_path_tree(const routing_graph& g, node_id s,
                         std::span<node_id> prev);
 

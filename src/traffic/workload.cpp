@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <unordered_map>
+#include <vector>
 
 #include "sim/rng.h"
 
@@ -12,16 +12,17 @@ namespace {
 
 // Accumulates per-directed-port load (in units of one source-destination
 // pair's rate share) along the route of a host pair, including the source
-// host's NIC and the egress router's port. `path` is route() scratch.
+// host's NIC and the egress router's port. `load` is indexed by port id;
+// `path` is route() scratch.
 void add_pair_load(net::network& net, net::node_id src, net::node_id dst,
-                   double w, std::unordered_map<const net::port*, double>& load,
+                   double w, std::vector<double>& load,
                    std::vector<net::node_id>& path) {
   net.route(src, dst, path);
-  load[&net.port_between(src, path.front())] += w;
+  load[net.port_between(src, path.front()).id()] += w;
   for (std::size_t j = 0; j + 1 < path.size(); ++j) {
-    load[&net.port_between(path[j], path[j + 1])] += w;
+    load[net.port_between(path[j], path[j + 1]).id()] += w;
   }
-  load[&net.port_between(path.back(), dst)] += w;
+  load[net.port_between(path.back(), dst).id()] += w;
 }
 
 }  // namespace
@@ -34,7 +35,7 @@ double calibrate_per_host_rate(net::network& net, const topo::topology& topo,
   sim::rng calib_rng(cfg.seed ^ 0xCA11B8A7Eull);
 
   // --- calibration: per-port load per unit of per-host offered rate ---
-  std::unordered_map<const net::port*, double> load;
+  std::vector<double> load(net.ports().size(), 0.0);
   std::vector<net::node_id> path;
   if (hosts <= cfg.exact_pair_limit) {
     const double w = 1.0 / static_cast<double>(hosts - 1);
@@ -59,9 +60,10 @@ double calibrate_per_host_rate(net::network& net, const topo::topology& topo,
   }
 
   double max_ratio = 0.0;  // load (in per-host-rate units) / link rate
-  for (const auto& [pt, l] : load) {
+  for (const auto& pt : net.ports()) {
     if (pt->rate() == sim::kInfiniteRate) continue;
-    max_ratio = std::max(max_ratio, l / static_cast<double>(pt->rate()));
+    max_ratio =
+        std::max(max_ratio, load[pt->id()] / static_cast<double>(pt->rate()));
   }
   if (max_ratio <= 0) throw std::logic_error("workload: calibration failed");
   return cfg.utilization / max_ratio;

@@ -2,11 +2,19 @@
 // misuse rather than silently producing wrong schedules.
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <memory>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "core/registry.h"
 #include "core/replay.h"
+#include "exp/replay_experiment.h"
+#include "exp/scenario.h"
 #include "net/network.h"
+#include "net/trace.h"
+#include "net/trace_io.h"
 #include "sim/simulator.h"
 #include "topo/basic.h"
 #include "topo/fattree.h"
@@ -140,6 +148,61 @@ TEST(errors, all_infinite_topology_has_no_bottleneck) {
   t.routers = 1;
   t.hosts.push_back(topo::host_spec{0, sim::kInfiniteRate, 0});
   EXPECT_THROW(static_cast<void>(t.bottleneck_rate()), std::logic_error);
+}
+
+// A trace is input: a node id its topology does not have (out of range, or
+// a host where a router belongs and vice versa) is a typed replay error,
+// never an index past the network's tables.
+exp::original_run small_i2_run() {
+  exp::scenario sc;
+  sc.packet_budget = 200;
+  auto orig = exp::run_original(sc);
+  net::sort_by_ingress(orig.trace);
+  return orig;
+}
+
+// Each entry corrupts the first record one way.
+const std::vector<void (*)(net::packet_record&)>& bad_node_ids() {
+  static const std::vector<void (*)(net::packet_record&)> edits = {
+      [](net::packet_record& r) { r.path.front() = 99999; },
+      [](net::packet_record& r) { r.path.back() = -1; },
+      [](net::packet_record& r) { r.path.front() = r.src_host; },
+      [](net::packet_record& r) {
+        r.path.clear();
+        r.src_host = 99999;
+      },
+      [](net::packet_record& r) { r.dst_host = 99999; },
+      [](net::packet_record& r) { r.dst_host = r.path.back(); },
+  };
+  return edits;
+}
+
+TEST(errors, replay_rejects_node_ids_outside_the_topology) {
+  const auto orig = small_i2_run();
+  for (std::size_t i = 0; i < bad_node_ids().size(); ++i) {
+    auto bad = orig;
+    bad_node_ids()[i](bad.trace.packets.front());
+    EXPECT_THROW(static_cast<void>(
+                     exp::run_replay(bad, core::replay_mode::lstf)),
+                 std::invalid_argument)
+        << "edit " << i;
+  }
+}
+
+TEST(errors, replay_file_rejects_node_ids_outside_the_topology) {
+  const auto orig = small_i2_run();
+  const std::string path = ::testing::TempDir() + "/ups_bad_node_ids.v1";
+  for (std::size_t i = 0; i < bad_node_ids().size(); ++i) {
+    auto bad = orig.trace;
+    bad_node_ids()[i](bad.packets.front());
+    net::save_trace(path, bad);
+    EXPECT_THROW(static_cast<void>(exp::run_replay_file(
+                     path, orig.topology, orig.threshold_T,
+                     core::replay_mode::lstf)),
+                 std::invalid_argument)
+        << "edit " << i;
+  }
+  std::remove(path.c_str());
 }
 
 }  // namespace

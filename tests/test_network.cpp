@@ -10,12 +10,14 @@
 #include "core/replay.h"
 #include "net/network.h"
 #include "net/trace.h"
+#include "routing_reference.h"
 #include "sim/simulator.h"
 #include "topo/basic.h"
 #include "topo/fattree.h"
 #include "topo/internet2.h"
 #include "topo/rocketfuel.h"
 #include "topo/topology.h"
+#include "traffic/workload.h"
 
 namespace ups::net {
 namespace {
@@ -240,10 +242,11 @@ TEST(network, infinite_rate_port_transmits_instantly) {
   EXPECT_EQ(egress, 0);
 }
 
-// Differential test for the lazy route rows: for every (strided) host pair,
-// route() must return exactly a fresh shortest_path over the node-indexed
-// router-only graph (weight = propagation delay + 1ps) between the two
-// attachment routers — same paths, same tie-breaks.
+// Differential test for the lazy, stub-sharing route rows: for every
+// (strided) host pair, route() must return exactly the textbook reference
+// Dijkstra's path over the node-indexed router-only graph (weight =
+// propagation delay + 1ps) between the two attachment routers — same
+// paths, same tie-breaks.
 void expect_routes_match_reference(topo::topology t, std::size_t stride = 1) {
   fixture f(std::move(t));
   routing_graph g(f.net.node_count());
@@ -254,11 +257,13 @@ void expect_routes_match_reference(topo::topology t, std::size_t stride = 1) {
   }
   std::vector<node_id> path;
   for (std::size_t i = 0; i < f.topo.host_count(); i += stride) {
+    const auto hi = f.topo.host_id(i);
+    const auto s = f.net.attachment(hi);
+    const auto row = ups::testing::reference_prev_row(g, s);
     for (std::size_t j = 0; j < f.topo.host_count(); j += stride) {
-      const auto hi = f.topo.host_id(i);
       const auto hj = f.topo.host_id(j);
       const auto expected =
-          shortest_path(g, f.net.attachment(hi), f.net.attachment(hj));
+          ups::testing::reference_path(row, s, f.net.attachment(hj));
       ASSERT_FALSE(expected.empty());
       f.net.route(hi, hj, path);
       EXPECT_EQ(path, expected)
@@ -288,8 +293,9 @@ TEST(network, route_table_matches_lazy_reference_fattree) {
 }
 
 TEST(network, route_table_matches_lazy_reference_rocketfuel) {
-  // 830 hosts on 913 routers: every 41st host gives 21 source rows, each
-  // checked against 21 destinations spread over the whole topology.
+  // 830 hosts on 913 routers: every 41st host gives 21 sources (each a
+  // stub reusing its neighbour's row), each checked against 21
+  // destinations spread over the whole topology.
   expect_routes_match_reference(topo::rocketfuel(), /*stride=*/41);
 }
 
@@ -343,6 +349,47 @@ TEST(network, route_row_is_computed_once_per_source_router) {
   EXPECT_EQ(f.net.stats().route_trees, 2u);
 }
 
+TEST(network, stub_routers_share_their_neighbours_tree) {
+  // Internet2: each of the 100 host routers is a stub on one of the 10
+  // backbone routers, so every host pair routes from 10 trees.
+  fixture f(topo::internet2());
+  std::vector<node_id> path;
+  for (std::size_t i = 0; i < f.topo.host_count(); ++i) {
+    for (std::size_t j = 0; j < f.topo.host_count(); ++j) {
+      f.net.route(f.topo.host_id(i), f.topo.host_id(j), path);
+    }
+  }
+  EXPECT_EQ(f.net.stats().route_trees, 10u);
+}
+
+TEST(network, rocketfuel_calibration_computes_one_tree_per_core_router) {
+  // The 20,000 sampled pairs reach nearly every one of the 830 stub host
+  // routers; their trees are the 83 of their neighbours.
+  fixture f(topo::rocketfuel());
+  static_cast<void>(traffic::calibrate_per_host_rate(f.net, f.topo, {}));
+  EXPECT_EQ(f.net.stats().route_trees, 83u);
+}
+
+TEST(network, two_stubs_facing_each_other_route_both_ways) {
+  // line(2): routers 0 and 1 are each other's only neighbour. Each source
+  // walks the other's own row (one level of stub sharing, no recursion).
+  fixture f(topo::line(2, sim::kGbps, sim::kMicrosecond));
+  const auto h0 = f.topo.host_id(0);
+  const auto h1 = f.topo.host_id(1);
+  const auto r0 = f.net.attachment(h0);
+  const auto r1 = f.net.attachment(h1);
+  std::vector<node_id> path;
+  f.net.route(h0, h1, path);
+  EXPECT_EQ(path, (std::vector<node_id>{r0, r1}));
+  EXPECT_EQ(f.net.stats().route_trees, 1u);
+  f.net.route(h1, h0, path);
+  EXPECT_EQ(path, (std::vector<node_id>{r1, r0}));
+  EXPECT_EQ(f.net.stats().route_trees, 2u);
+  f.net.route(h0, h1, path);
+  f.net.route(h1, h0, path);
+  EXPECT_EQ(f.net.stats().route_trees, 2u);
+}
+
 TEST(network, self_route_is_the_attachment_router) {
   // line(1, .., 2): both hosts hang off router 0.
   fixture f(topo::line(1, sim::kGbps, sim::kMicrosecond, 2));
@@ -353,6 +400,7 @@ TEST(network, self_route_is_the_attachment_router) {
   EXPECT_EQ(path, std::vector<node_id>{r0});
   f.net.route(h0, h0, path);
   EXPECT_EQ(path, std::vector<node_id>{r0});
+  EXPECT_EQ(f.net.stats().route_trees, 0u);  // a self route needs no tree
 }
 
 TEST(network, unreachable_pair_throws_on_fresh_and_cached_row) {

@@ -158,12 +158,13 @@ int cmd_gen(const std::string& out, const flags& f) {
     return 2;
   }
   std::printf("recorded %zu packets (%s, util %.0f%%, %s, %s, seed %llu, "
-              "peak in-flight %llu) -> %s\n",
+              "peak in-flight %llu, route trees %llu) -> %s\n",
               orig.trace.packets.size(), exp::to_string(sc.topo),
               sc.utilization * 100, core::to_string(sc.sched),
               traffic::to_string(sc.workload_kind),
               static_cast<unsigned long long>(sc.seed),
               static_cast<unsigned long long>(orig.peak_pool_packets),
+              static_cast<unsigned long long>(orig.route_trees),
               out.c_str());
   if (sc.fault.enabled()) {
     std::uint64_t dropped = 0;
