@@ -30,14 +30,54 @@
 //                     process-backend watchdog: a worker silent for N ms
 //                     after an assignment is classified timed_out and its
 //                     range reassigned (0 = backend default)
+//
+// Numeric values are checked: a count (N, K) is digits only, a real (F)
+// is a whole finite number, and a utilization lies in (0, 1). Anything
+// else — empty, trailing garbage, a sign on a count — throws
+// std::invalid_argument naming the flag.
 #pragma once
 
+#include <charconv>
+#include <cmath>
 #include <cstdint>
-#include <cstdlib>
-#include <cstring>
+#include <stdexcept>
 #include <string>
+#include <string_view>
+#include <system_error>
+#include <type_traits>
 
 namespace ups::exp {
+
+// Parses one numeric flag value: an integral T is a count, which takes no
+// sign, and a floating-point T a finite real. The whole of `text` must be
+// the number (from_chars takes no leading space and no '+'), in T's range.
+template <class T>
+[[nodiscard]] T parse_flag_number(std::string_view flag,
+                                  std::string_view text) {
+  T v{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  bool ok = !text.empty() && ec == std::errc() && ptr == end;
+  if constexpr (std::is_integral_v<T>) ok = ok && text.front() != '-';
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(v);
+  if (!ok) {
+    throw std::invalid_argument(std::string(flag) + ": bad value '" +
+                                std::string(text) + "'");
+  }
+  return v;
+}
+
+// A target link utilization, which must lie strictly inside (0, 1).
+[[nodiscard]] inline double parse_utilization_flag(std::string_view flag,
+                                                   std::string_view text) {
+  const double u = parse_flag_number<double>(flag, text);
+  if (!(u > 0.0 && u < 1.0)) {
+    throw std::invalid_argument(std::string(flag) + ": '" +
+                                std::string(text) +
+                                "' is outside (0, 1)");
+  }
+  return u;
+}
 
 struct args {
   std::uint64_t packets = 0;  // 0: use the experiment default
@@ -57,14 +97,20 @@ struct args {
     args a;
     for (int i = 1; i < argc; ++i) {
       const std::string s = argv[i];
+      const auto value = [&s] {
+        return std::string_view(s).substr(s.find('=') + 1);
+      };
+      const auto count = [&value](std::string_view flag) {
+        return parse_flag_number<std::uint64_t>(flag, value());
+      };
       if (s.rfind("--packets=", 0) == 0) {
-        a.packets = std::strtoull(s.c_str() + 10, nullptr, 10);
+        a.packets = count("--packets");
       } else if (s.rfind("--seed=", 0) == 0) {
-        a.seed = std::strtoull(s.c_str() + 7, nullptr, 10);
+        a.seed = count("--seed");
       } else if (s.rfind("--scale=", 0) == 0) {
-        a.scale = std::strtod(s.c_str() + 8, nullptr);
+        a.scale = parse_flag_number<double>("--scale", value());
       } else if (s.rfind("--utilization=", 0) == 0) {
-        a.utilization = std::strtod(s.c_str() + 14, nullptr);
+        a.utilization = parse_utilization_flag("--utilization", value());
       } else if (s.rfind("--workload=", 0) == 0) {
         a.workload = s.substr(11);
       } else if (s.rfind("--dispatch=", 0) == 0) {
@@ -74,11 +120,12 @@ struct args {
       } else if (s.rfind("--flow=", 0) == 0) {
         a.flow = s.substr(7);
       } else if (s.rfind("--kill-worker-after=", 0) == 0) {
-        a.kill_worker_after = std::strtoull(s.c_str() + 20, nullptr, 10);
+        a.kill_worker_after = count("--kill-worker-after");
       } else if (s.rfind("--hang-worker-after=", 0) == 0) {
-        a.hang_worker_after = std::strtoull(s.c_str() + 20, nullptr, 10);
+        a.hang_worker_after = count("--hang-worker-after");
       } else if (s.rfind("--worker-timeout-ms=", 0) == 0) {
-        a.worker_timeout_ms = std::strtoll(s.c_str() + 20, nullptr, 10);
+        a.worker_timeout_ms =
+            parse_flag_number<std::int64_t>("--worker-timeout-ms", value());
       } else if (s == "--quick") {
         a.quick = true;
       }

@@ -2,6 +2,7 @@
 // misuse rather than silently producing wrong schedules.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <stdexcept>
@@ -10,6 +11,7 @@
 
 #include "core/registry.h"
 #include "core/replay.h"
+#include "exp/args.h"
 #include "exp/replay_experiment.h"
 #include "exp/scenario.h"
 #include "net/network.h"
@@ -203,6 +205,90 @@ TEST(errors, replay_file_rejects_node_ids_outside_the_topology) {
         << "edit " << i;
   }
   std::remove(path.c_str());
+}
+
+// Runs exp::args::parse over one argv built from `flags`.
+exp::args parse_args(std::vector<std::string> flags) {
+  flags.insert(flags.begin(), "prog");
+  std::vector<char*> argv;
+  for (auto& f : flags) argv.push_back(f.data());
+  return exp::args::parse(static_cast<int>(argv.size()), argv.data());
+}
+
+TEST(errors, numeric_flags_reject_malformed_values) {
+  const char* const bad[] = {
+      "--packets=12k",         // trailing garbage: used to record 13
+      "--packets=-5",          // sign on a count: used to die in bad_alloc
+      "--packets=",            // empty
+      "--packets= 7",          // leading space
+      "--seed=x1",             // used to run seed 0
+      "--seed=1.5",
+      "--seed=18446744073709551616",  // overflows 64 bits
+      "--kill-worker-after=-1",
+      "--hang-worker-after=2x",
+      "--worker-timeout-ms=-100",
+      "--worker-timeout-ms=9223372036854775808",  // overflows int64
+      "--scale=abc",
+      "--scale=",
+      "--scale=inf",
+      "--utilization=abc",     // used to fail deep inside the simulator
+      "--utilization=1.5",     // used to record at 150%
+      "--utilization=0",
+      "--utilization=1",
+      "--utilization=-0.5",
+      "--utilization=0.7x",
+  };
+  for (const char* flag : bad) {
+    EXPECT_THROW(static_cast<void>(parse_args({flag})), std::invalid_argument)
+        << flag;
+  }
+  // The message names the flag and echoes the value.
+  try {
+    static_cast<void>(parse_args({"--packets=12k"}));
+    FAIL() << "--packets=12k parsed";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("--packets"), std::string::npos);
+    EXPECT_NE(std::string(e.what()).find("12k"), std::string::npos);
+  }
+  // tracec's own flags go through the same helpers.
+  EXPECT_THROW(static_cast<void>(exp::parse_utilization_flag("--util", "1.5")),
+               std::invalid_argument);
+  EXPECT_THROW(
+      static_cast<void>(exp::parse_flag_number<std::uint64_t>("--records", "")),
+      std::invalid_argument);
+}
+
+TEST(errors, numeric_flags_parse_valid_values_as_before) {
+  const auto a = parse_args({"--packets=12000", "--seed=42", "--scale=0.5",
+                             "--utilization=0.7", "--kill-worker-after=3",
+                             "--hang-worker-after=1",
+                             "--worker-timeout-ms=2000", "--quick",
+                             "--workload=closed-loop:8", "--dispatch=thread:2",
+                             "--fault=none", "--flow=credit:15000"});
+  EXPECT_EQ(a.packets, 12000u);
+  EXPECT_EQ(a.seed, 42u);
+  EXPECT_EQ(a.scale, 0.5);
+  EXPECT_EQ(a.utilization, 0.7);
+  EXPECT_EQ(a.kill_worker_after, 3u);
+  EXPECT_EQ(a.hang_worker_after, 1u);
+  EXPECT_EQ(a.worker_timeout_ms, 2000);
+  EXPECT_TRUE(a.quick);
+  EXPECT_EQ(a.workload, "closed-loop:8");
+  EXPECT_EQ(a.dispatch, "thread:2");
+  EXPECT_EQ(a.fault, "none");
+  EXPECT_EQ(a.flow, "credit:15000");
+  EXPECT_EQ(parse_args({"--seed=0"}).seed, 0u);
+  EXPECT_EQ(parse_args({"--seed=18446744073709551615"}).seed, UINT64_MAX);
+  EXPECT_EQ(parse_args({"--scale=2e-1"}).scale, 0.2);
+  EXPECT_EQ(parse_args({"--utilization=.25"}).utilization, 0.25);
+  // Unset flags keep their defaults; unknown flags are still ignored.
+  const auto d = parse_args({"--unknown=12k", "positional"});
+  EXPECT_EQ(d.packets, 0u);
+  EXPECT_EQ(d.seed, 1u);
+  EXPECT_EQ(d.scale, 1.0);
+  EXPECT_EQ(d.utilization, 0.0);
+  EXPECT_EQ(exp::parse_utilization_flag("--util", "0.7"), 0.7);
+  EXPECT_EQ(exp::parse_flag_number<std::uint64_t>("--records", "5"), 5u);
 }
 
 }  // namespace

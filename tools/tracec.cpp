@@ -41,6 +41,7 @@
 #include <fstream>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -134,11 +135,13 @@ struct flags {
 int cmd_gen(const std::string& out, const flags& f) {
   exp::scenario sc;
   sc.topo = parse_topo(f.get("topo", "i2"));
-  sc.utilization = std::strtod(f.get("util", "0.7").c_str(), nullptr);
+  sc.utilization =
+      exp::parse_utilization_flag("--util", f.get("util", "0.7"));
   sc.sched = core::sched_kind_from(f.get("sched", "Random"));
-  sc.seed = std::strtoull(f.get("seed", "1").c_str(), nullptr, 10);
-  sc.packet_budget =
-      std::strtoull(f.get("packets", "20000").c_str(), nullptr, 10);
+  sc.seed =
+      exp::parse_flag_number<std::uint64_t>("--seed", f.get("seed", "1"));
+  sc.packet_budget = exp::parse_flag_number<std::uint64_t>(
+      "--packets", f.get("packets", "20000"));
   sc.record_hops = f.has("hops");
   const std::string workload = f.get("workload", "open-loop");
   sc.workload_kind = traffic::parse_workload(workload, sc.workload_spec);
@@ -411,8 +414,8 @@ int cmd_inspect_v3(const std::string& path, std::size_t show) {
 }
 
 int cmd_inspect(const std::string& path, const flags& f) {
-  const std::size_t show =
-      std::strtoull(f.get("records", "5").c_str(), nullptr, 10);
+  const std::size_t show = exp::parse_flag_number<std::uint64_t>(
+      "--records", f.get("records", "5"));
   if (net::is_trace_v3_file(path)) {
     return cmd_inspect_v3(path, show);
   }
@@ -539,6 +542,10 @@ int main(int argc, char** argv) {
       for (int i = 4; i < argc; ++i) cf.all.emplace_back(argv[i]);
       return cmd_convert(argv[2], argv[3], cf);
     }
+  } catch (const std::invalid_argument& e) {
+    // A malformed flag value: a usage error, like an unknown topology.
+    std::fprintf(stderr, "tracec: %s\n", e.what());
+    return 2;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "tracec: %s\n", e.what());
     return 1;
