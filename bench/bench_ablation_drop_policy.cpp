@@ -74,7 +74,7 @@ run_result run(bool drop_highest_slack, std::int64_t buffer_bytes,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto a = ups::exp::args::parse(argc, argv);
+  const auto a = ups::exp::args::parse_or_exit(argc, argv);
   const std::uint64_t packets = a.budget(40'000);
 
   std::printf("LSTF drop-policy ablation (TCP FCT workload, I2 @70%%, "

@@ -14,7 +14,7 @@
 
 int main(int argc, char** argv) {
   using namespace ups;
-  const auto a = exp::args::parse(argc, argv);
+  const auto a = exp::args::parse_or_exit(argc, argv);
   const std::uint64_t budget = a.budget(100'000);
 
   std::printf("Ablation: non-preemptive vs preemptive LSTF replay "

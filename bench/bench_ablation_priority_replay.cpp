@@ -14,7 +14,7 @@
 
 int main(int argc, char** argv) {
   using namespace ups;
-  const auto a = exp::args::parse(argc, argv);
+  const auto a = exp::args::parse_or_exit(argc, argv);
 
   exp::scenario sc;
   sc.seed = a.seed;

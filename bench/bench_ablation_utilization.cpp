@@ -19,7 +19,7 @@
 
 int main(int argc, char** argv) {
   using namespace ups;
-  const auto a = exp::args::parse(argc, argv);
+  const auto a = exp::args::parse_or_exit(argc, argv);
   const std::uint64_t budget = a.budget(80'000);
 
   exp::scenario probe;

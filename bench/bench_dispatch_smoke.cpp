@@ -78,7 +78,7 @@ int gate(const char* name, double got, double bar) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto a = exp::args::parse(argc, argv);
+  const auto a = exp::args::parse_or_exit(argc, argv);
   const std::uint64_t budget = a.budget(60'000);
   const unsigned hw = std::thread::hardware_concurrency();
   const std::size_t workers = std::max(2u, hw);

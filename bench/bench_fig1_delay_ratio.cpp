@@ -11,7 +11,7 @@
 
 int main(int argc, char** argv) {
   using namespace ups;
-  const auto a = exp::args::parse(argc, argv);
+  const auto a = exp::args::parse_or_exit(argc, argv);
   const std::uint64_t budget = a.budget(100'000);
 
   const core::sched_kind kinds[] = {

@@ -154,58 +154,44 @@ net::packet_ptr packet_from_record(net::network& net,
 }
 
 // Feeds the cursor into the network one ingress instant at a time: a single
-// standing event sits at the next run's i(p); when it fires it injects
-// every record due at that instant and re-arms itself at the following one.
-// Records are pulled in same-instant batches (trace_cursor::next_run) so a
-// wakeup costs one virtual call per instant, not one per record. Only
-// in-flight packets (plus the one run being injected) are ever resident,
-// which is the whole point of streaming injection.
+// standing event sits at the pending record's i(p); when it fires it
+// injects that record and every following one due at the same instant,
+// then re-arms itself at the next record's. Only in-flight packets (plus
+// the one pending record, held by the cursor) are ever resident, which is
+// the whole point of streaming injection.
 struct streaming_feeder {
   net::trace_cursor& cur;
   net::network& net;
   const replay_options& opt;
   std::uint64_t injected = 0;
-  std::vector<const net::packet_record*> run;  // reused batch storage
-
-  // Pulls the next same-instant run; empty at end of trace.
-  void pull() {
-    run.clear();
-    cur.next_run(run);
-  }
-
-  [[nodiscard]] sim::time_ps run_ingress() const {
-    return run.front()->ingress_time;
-  }
+  const net::packet_record* pending = nullptr;  // next record to inject
 
   void arm() {
-    pull();
-    if (run.empty()) return;
+    pending = cur.next();
+    if (pending == nullptr) return;
     // Early phase: the feeder (and the injections it posts, also early)
     // must precede every same-instant forwarded arrival, or a rank tie
     // between an injected and an in-network packet could resolve in the
     // opposite order from up-front injection.
-    net.sim().schedule_early(run_ingress(), [this] { fire(); });
+    net.sim().schedule_early(pending->ingress_time, [this] { fire(); });
   }
 
   void fire() {
     const sim::time_ps now = net.sim().now();
-    // Inject the armed run, then keep draining while the cursor's next run
-    // still lands at this instant (a cursor without true batching — the
-    // base-class next_run — splits an instant across runs of one).
+    // Inject before pulling: the cursor may reuse the pending record's
+    // storage for the next one.
     do {
-      for (const net::packet_record* r : run) {
-        net.inject_at_ingress(packet_from_record(net, *r, opt), now);
-        ++injected;
-      }
-      pull();
-    } while (!run.empty() && run_ingress() == now);
-    if (run.empty()) return;
-    if (run_ingress() < now) {
+      net.inject_at_ingress(packet_from_record(net, *pending, opt), now);
+      ++injected;
+      pending = cur.next();
+    } while (pending != nullptr && pending->ingress_time == now);
+    if (pending == nullptr) return;
+    if (pending->ingress_time < now) {
       throw std::invalid_argument(
           "replay cursor violated ingress-time order (sort the trace or use "
           "trace::ingress_cursor)");
     }
-    net.sim().schedule_early(run_ingress(), [this] { fire(); });
+    net.sim().schedule_early(pending->ingress_time, [this] { fire(); });
   }
 };
 
@@ -252,7 +238,7 @@ replay_result replay_trace(net::trace_cursor& cur,
 
   std::uint64_t injected = 0;
   if (opt.injection == injection_mode::streaming) {
-    streaming_feeder feeder{cur, net, opt, 0, {}};
+    streaming_feeder feeder{cur, net, opt};
     feeder.arm();
     sim.run();
     injected = feeder.injected;

@@ -34,12 +34,15 @@
 // Numeric values are checked: a count (N, K) is digits only, a real (F)
 // is a whole finite number, and a utilization lies in (0, 1). Anything
 // else — empty, trailing garbage, a sign on a count — throws
-// std::invalid_argument naming the flag.
+// std::invalid_argument naming the flag; args::parse_or_exit turns that
+// into a one-line message and exit code 2.
 #pragma once
 
 #include <charconv>
 #include <cmath>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <stdexcept>
 #include <string>
 #include <string_view>
@@ -131,6 +134,20 @@ struct args {
       }
     }
     return a;
+  }
+
+  // parse() for a binary's main(): a malformed flag value prints one line
+  // naming the flag and exits 2, the usage-error code tracec uses.
+  [[nodiscard]] static args parse_or_exit(int argc, char** argv) {
+    try {
+      return parse(argc, argv);
+    } catch (const std::invalid_argument& e) {
+      std::string_view prog = argc > 0 && argv[0] != nullptr ? argv[0] : "";
+      prog.remove_prefix(prog.rfind('/') + 1);  // npos + 1 == 0
+      std::fprintf(stderr, "%.*s: %s\n", static_cast<int>(prog.size()),
+                   prog.data(), e.what());
+      std::exit(2);
+    }
   }
 
   // Applies overrides to an experiment's default budget.

@@ -63,15 +63,12 @@ class trace_cursor {
   virtual ~trace_cursor() = default;
   // Next record, or nullptr when exhausted.
   [[nodiscard]] virtual const packet_record* next() = 0;
-  // Batched pull: appends to `out` a run of records sharing the next
-  // ingress instant and returns how many were appended (0 at end). The
-  // replay feeder injects one run per wakeup instead of paying a virtual
-  // call + rearm per record. Appended pointers stay valid until the next
-  // cursor call, like next(). The base implementation degrades to runs of
-  // one (correct for any cursor: the feeder keeps pulling while the next
-  // run carries the same instant); concrete cursors override with true
-  // batching.
-  virtual std::size_t next_run(std::vector<const packet_record*>& out) {
+  // Appends the next record to `out` and returns 1, or returns 0 at end:
+  // a run of one, for consumers that drain into a pointer batch. The
+  // appended pointer stays valid until the next cursor call, like next().
+  // No cursor batches same-instant records: on the recorded traces
+  // measured, nearly every ingress instant holds a single record.
+  std::size_t next_run(std::vector<const packet_record*>& out) {
     const packet_record* r = next();
     if (r == nullptr) return 0;
     out.push_back(r);
@@ -91,7 +88,6 @@ class trace_ingress_cursor final : public trace_cursor {
   explicit trace_ingress_cursor(const trace& t);
 
   [[nodiscard]] const packet_record* next() override;
-  std::size_t next_run(std::vector<const packet_record*>& out) override;
   [[nodiscard]] std::size_t size_hint() const noexcept override {
     return order_.size();
   }

@@ -60,8 +60,8 @@ std::vector<std::uint8_t> slurp(const std::string& path) {
 }
 #endif
 
-// Maps `path` read-only (falling back to an owned buffer without mmap) and
-// applies the page-cache advice.
+// Maps `path` read-only (falling back to an owned buffer without mmap)
+// with front-to-back page-cache advice.
 struct file_image {
   void* mapping = nullptr;  // non-null when mmap owns the bytes
   std::size_t mapping_size = 0;
@@ -70,7 +70,7 @@ struct file_image {
   std::size_t size = 0;
 };
 
-file_image map_trace_file(const std::string& path, trace_access access) {
+file_image map_trace_file(const std::string& path) {
   file_image img;
 #if UPS_TRACE_HAVE_MMAP
   const int fd = ::open(path.c_str(), O_RDONLY);
@@ -90,25 +90,21 @@ file_image map_trace_file(const std::string& path, trace_access access) {
   if (map == MAP_FAILED) {
     throw std::runtime_error("trace: mmap failed for " + path);
   }
-#if defined(MADV_SEQUENTIAL) && defined(MADV_RANDOM)
   // Advice only — a failure costs readahead tuning, never correctness.
-  (void)::madvise(map, size,
-                  access == trace_access::random ? MADV_RANDOM
-                                                 : MADV_SEQUENTIAL);
+  // Readers drain front to back, so ask for aggressive readahead and start
+  // the fetch now: the first blocks stream in behind the header/index
+  // validation pass.
+#if defined(MADV_SEQUENTIAL)
+  (void)::madvise(map, size, MADV_SEQUENTIAL);
 #endif
 #if defined(MADV_WILLNEED)
-  // Front-to-back consumers want the whole file; start the fetch now so
-  // the first blocks stream in behind the header/index validation pass.
-  if (access != trace_access::random) {
-    (void)::madvise(map, size, MADV_WILLNEED);
-  }
+  (void)::madvise(map, size, MADV_WILLNEED);
 #endif
   img.mapping = map;
   img.mapping_size = size;
   img.data = static_cast<const std::uint8_t*>(map);
   img.size = size;
 #else
-  (void)access;
   // No mmap on this platform: fall back to reading the file into an owned
   // buffer (still one parse-free image; just not shared across processes).
   img.owned = slurp(path);
@@ -130,20 +126,10 @@ file_image map_trace_file(const std::string& path, trace_access access) {
 
 // --- v3 primitives -----------------------------------------------------------
 
-// LEB128 + zigzag come from the shared core implementation; the decoders
-// below go through core::get_varints — the SWAR batch path with the
-// bounds-checked scalar loop as reference tail — bound to this format's
-// typed error.
+// LEB128 + zigzag come from the shared core implementation.
 using core::put_varint;
 using core::unzigzag;
 using core::zigzag;
-
-// Decodes exactly `count` varints of column `what` into `out`.
-inline void get_column(const std::uint8_t*& p, const std::uint8_t* end,
-                       std::uint64_t* out, std::size_t count,
-                       const char* what) {
-  core::get_varints<trace_format_error>(p, end, out, count, what);
-}
 
 // Wrapping u64 difference cast to signed: round-trips every (a, b) pair
 // exactly (the decoder applies the inverse wrap), while keeping the common
@@ -498,9 +484,8 @@ trace load_trace_v3(const std::string& path) {
 
 // --- v3 cursor ---------------------------------------------------------------
 
-trace_v3_cursor::trace_v3_cursor(const std::string& path,
-                                 trace_access access) {
-  file_image img = map_trace_file(path, access);
+trace_v3_cursor::trace_v3_cursor(const std::string& path) {
+  file_image img = map_trace_file(path);
   mapping_ = img.mapping;
   mapping_size_ = img.mapping_size;
   owned_bytes_ = std::move(img.owned);
@@ -595,8 +580,7 @@ trace_v3_cursor::column_bytes_at(std::uint64_t b) const {
 }
 
 
-void trace_v3_cursor::decode_block_into(std::uint64_t b,
-                                        v3_block_scratch& sc) const {
+std::uint32_t trace_v3_cursor::decode_block(std::uint64_t b) {
   const block_bounds e = bounds_at(b);
   const std::uint8_t* p = data_ + e.offset;
   const std::uint32_t n = load_le<std::uint32_t>(p);
@@ -621,270 +605,133 @@ void trace_v3_cursor::decode_block_into(std::uint64_t b,
     throw trace_format_error(
         "trace v3: column sizes disagree with the block size");
   }
+  // One read pointer per column, each bounded by its column's end.
   const std::uint8_t* col[kTraceV3MaxColumnCount] = {};
+  const std::uint8_t* col_end[kTraceV3MaxColumnCount] = {};
   {
     const std::uint8_t* q = p + trace_v3_block_header_bytes(ncols_);
     for (std::size_t c = 0; c < ncols_; ++c) {
       col[c] = q;
       q += col_bytes[c];
+      col_end[c] = q;
     }
   }
-  sc.block = b;
-  sc.n = n;
-  // resize() reuses capacity — after the first full block no steady-state
-  // allocation happens here.
-  sc.ingress.resize(n);
-  sc.egress.resize(n);
-  sc.qdelay.resize(n);
-  sc.id.resize(n);
-  sc.flow.resize(n);
-  sc.fsize.resize(n);
-  sc.seq.resize(n);
-  sc.psize.resize(n);
-  sc.src.resize(n);
-  sc.dst.resize(n);
-  sc.path_pos.resize(n + 1);
-  sc.departs_pos.resize(n + 1);
-  if (ncols_ >= kTraceV3DropColumnCount) {
-    sc.dropinfo.resize(n);
-    sc.drop_time.resize(n);
-  }
-  if (ncols_ >= kTraceV3StallColumnCount) {
-    sc.stallinfo.resize(n);
-    sc.stall_time.resize(n);
-  }
-  // Every column decodes in two passes over the shared raw staging buffer:
-  // one batched SWAR sweep that peels the varints (core::get_varints), then
-  // one tight transform loop (prefix sums, zigzag, narrowing) the compiler
-  // can vectorize. The batch decode enforces the column end; the leftover
-  // check catches columns holding more bytes than their values consumed.
-  const auto ensure_raw = [&sc](std::size_t count) -> std::uint64_t* {
-    if (sc.raw.size() < count) sc.raw.resize(count);
-    return sc.raw.data();
+  const auto get = [&col, &col_end](std::size_t c) {
+    return core::get_varint_checked<trace_format_error>(col[c], col_end[c],
+                                                        "trace v3");
   };
-  const auto decode_col = [&](std::size_t c, std::uint64_t* out,
-                              std::size_t count) {
-    const std::uint8_t* s = col[c];
-    const std::uint8_t* send = s + col_bytes[c];
-    get_column(s, send, out, count, "trace v3");
-    if (s != send) {
+  // Never shrink records: the final short block would otherwise destroy
+  // warmed slot capacities, and a re-drain after a seek would have to
+  // reallocate them.
+  if (records_.size() < n) records_.resize(n);
+  sim::time_ps ingress = base;
+  std::uint64_t id = 0;
+  std::uint64_t flow = 0;
+  for (std::uint32_t i = 0; i < n; ++i) {
+    packet_record& r = records_[i];
+    const std::uint64_t delta = get(kColIngress);
+    if (i == 0 && delta != 0) {
+      throw trace_format_error("trace v3: first ingress delta must be zero");
+    }
+    const sim::time_ps t = wrap_add(ingress, static_cast<std::int64_t>(delta));
+    if (t < ingress) {
+      throw trace_format_error(
+          "trace v3: ingress not monotone within a block");
+    }
+    ingress = t;
+    r.ingress_time = t;
+    r.egress_time = wrap_add(t, unzigzag(get(kColEgress)));
+    id += static_cast<std::uint64_t>(unzigzag(get(kColId)));
+    r.id = id;
+    flow += static_cast<std::uint64_t>(unzigzag(get(kColFlow)));
+    r.flow_id = flow;
+    r.seq_in_flow = narrow_u32(get(kColSeq), "seq");
+    r.size_bytes = narrow_u32(get(kColSize), "size");
+    r.src_host = narrow_node(unzigzag(get(kColSrc)), "src");
+    r.dst_host = narrow_node(unzigzag(get(kColDst)), "dst");
+    r.queueing_delay = unzigzag(get(kColQdelay));
+    r.flow_size_bytes = get(kColFlowSize);
+    // A length is bounded by its data column before anything is sized:
+    // every element needs at least one byte, so a corrupt length claiming
+    // more elements than the column has bytes left is rejected here, never
+    // turned into a resize (an allocation bomb) that fails later. resize()
+    // reuses the slot's capacity — no steady-state allocation.
+    const std::uint64_t plen = get(kColPathLen);
+    if (plen > static_cast<std::uint64_t>(col_end[kColPath] - col[kColPath])) {
+      throw trace_format_error(
+          "trace v3: path lengths exceed the path column");
+    }
+    r.path.resize(static_cast<std::size_t>(plen));
+    for (node_id& hop : r.path) {
+      hop = narrow_node(unzigzag(get(kColPath)), "hop");
+    }
+    const std::uint64_t dlen = get(kColDepartsLen);
+    if (dlen >
+        static_cast<std::uint64_t>(col_end[kColDeparts] - col[kColDeparts])) {
+      throw trace_format_error(
+          "trace v3: departs lengths exceed the departs column");
+    }
+    r.hop_departs.resize(static_cast<std::size_t>(dlen));
+    // Each record's departs are a delta chain seeded from its ingress.
+    sim::time_ps prev = t;
+    for (sim::time_ps& d : r.hop_departs) {
+      prev = wrap_add(prev, unzigzag(get(kColDeparts)));
+      d = prev;
+    }
+    r.drop_hop = -1;
+    r.dropped_kind = drop_kind::buffer;
+    r.drop_time = -1;
+    r.stall_hop = -1;
+    r.stall_count = 0;
+    r.stall_time = 0;
+    if (ncols_ >= kTraceV3DropColumnCount) {
+      const std::uint32_t info = narrow_u32(get(kColDropInfo), "dropinfo");
+      const sim::time_ps drop_time = wrap_add(t, unzigzag(get(kColDropTime)));
+      if (info != 0) {
+        const std::uint32_t kind = info & 3;
+        const std::uint32_t hop = (info >> 2) - 1;
+        if (kind > 1 || hop >= r.path.size()) {
+          throw trace_format_error("trace v3: malformed dropinfo value");
+        }
+        r.drop_hop = static_cast<std::int32_t>(hop);
+        r.dropped_kind = static_cast<drop_kind>(kind);
+        r.drop_time = drop_time;
+      }
+    }
+    if (ncols_ >= kTraceV3StallColumnCount) {
+      const std::uint64_t info = get(kColStallInfo);
+      const auto stall_time = static_cast<sim::time_ps>(get(kColStallTime));
+      if (info != 0) {
+        const std::uint64_t hop = (info & 0xFFFF) - 1;
+        const std::uint64_t count = info >> 16;
+        if (hop >= r.path.size() || count == 0 || count > UINT32_MAX ||
+            stall_time < 0) {
+          throw trace_format_error("trace v3: malformed stallinfo value");
+        }
+        r.stall_hop = static_cast<std::int32_t>(hop);
+        r.stall_count = static_cast<std::uint32_t>(count);
+        r.stall_time = stall_time;
+      }
+    }
+  }
+  if (ingress != bmax) {
+    throw trace_format_error(
+        "trace v3: last ingress disagrees with the block bound");
+  }
+  for (std::size_t c = 0; c < ncols_; ++c) {
+    if (col[c] != col_end[c]) {
       throw trace_format_error(std::string("trace v3: ") +
                                kTraceV3ColumnNames[c] +
                                " column has leftover bytes");
     }
-  };
-  std::uint64_t* raw = ensure_raw(n);
-  {
-    decode_col(kColIngress, raw, n);
-    if (raw[0] != 0) {
-      throw trace_format_error("trace v3: first ingress delta must be zero");
-    }
-    std::uint64_t cum = static_cast<std::uint64_t>(base);
-    sim::time_ps prev = INT64_MIN;
-    for (std::uint32_t i = 0; i < n; ++i) {
-      cum += raw[i];
-      const sim::time_ps t = static_cast<sim::time_ps>(cum);
-      if (i != 0 && t < prev) {
-        throw trace_format_error(
-            "trace v3: ingress not monotone within a block");
-      }
-      sc.ingress[i] = t;
-      prev = t;
-    }
-    if (sc.ingress[n - 1] != bmax) {
-      throw trace_format_error(
-          "trace v3: last ingress disagrees with the block bound");
-    }
   }
-  decode_col(kColEgress, raw, n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    sc.egress[i] = wrap_add(sc.ingress[i], unzigzag(raw[i]));
-  }
-  decode_col(kColId, raw, n);
-  {
-    std::uint64_t cum = 0;
-    for (std::uint32_t i = 0; i < n; ++i) {
-      cum += static_cast<std::uint64_t>(unzigzag(raw[i]));
-      sc.id[i] = cum;
-    }
-  }
-  decode_col(kColFlow, raw, n);
-  {
-    std::uint64_t cum = 0;
-    for (std::uint32_t i = 0; i < n; ++i) {
-      cum += static_cast<std::uint64_t>(unzigzag(raw[i]));
-      sc.flow[i] = cum;
-    }
-  }
-  decode_col(kColSeq, raw, n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    sc.seq[i] = narrow_u32(raw[i], "seq");
-  }
-  decode_col(kColSize, raw, n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    sc.psize[i] = narrow_u32(raw[i], "size");
-  }
-  decode_col(kColSrc, raw, n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    sc.src[i] = narrow_node(unzigzag(raw[i]), "src");
-  }
-  decode_col(kColDst, raw, n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    sc.dst[i] = narrow_node(unzigzag(raw[i]), "dst");
-  }
-  decode_col(kColQdelay, raw, n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    sc.qdelay[i] = unzigzag(raw[i]);
-  }
-  decode_col(kColFlowSize, raw, n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    sc.fsize[i] = raw[i];
-  }
-  // Length columns bound the data columns before anything is sized: every
-  // element needs at least one byte, so a corrupt length claiming more
-  // elements than its data column holds bytes is rejected here — never
-  // turned into a resize (an allocation bomb) that fails later.
-  {
-    const std::uint8_t* s = col[kColPathLen];
-    const std::uint8_t* send = s + col_bytes[kColPathLen];
-    // Hop-free traces (the default recording mode) store n zero plens and
-    // an empty path column; one vectorized scan replaces n varint decodes.
-    if (col_bytes[kColPath] == 0 && col_bytes[kColPathLen] == n &&
-        std::all_of(s, send, [](std::uint8_t v) { return v == 0; })) {
-      std::fill(sc.path_pos.begin(), sc.path_pos.end(), 0u);
-      sc.path_flat.clear();
-    } else {
-      decode_col(kColPathLen, raw, n);
-      std::uint64_t tot = 0;
-      sc.path_pos[0] = 0;
-      for (std::uint32_t i = 0; i < n; ++i) {
-        tot += raw[i];
-        if (tot > col_bytes[kColPath]) {
-          throw trace_format_error(
-              "trace v3: path lengths exceed the path column");
-        }
-        sc.path_pos[i + 1] = static_cast<std::uint32_t>(tot);
-      }
-      sc.path_flat.resize(static_cast<std::size_t>(tot));
-      raw = ensure_raw(static_cast<std::size_t>(tot));
-      decode_col(kColPath, raw, static_cast<std::size_t>(tot));
-      for (std::size_t k = 0; k < sc.path_flat.size(); ++k) {
-        sc.path_flat[k] = narrow_node(unzigzag(raw[k]), "hop");
-      }
-    }
-  }
-  {
-    const std::uint8_t* s = col[kColDepartsLen];
-    const std::uint8_t* send = s + col_bytes[kColDepartsLen];
-    if (col_bytes[kColDeparts] == 0 && col_bytes[kColDepartsLen] == n &&
-        std::all_of(s, send, [](std::uint8_t v) { return v == 0; })) {
-      std::fill(sc.departs_pos.begin(), sc.departs_pos.end(), 0u);
-      sc.departs_flat.clear();
-    } else {
-      decode_col(kColDepartsLen, raw, n);
-      std::uint64_t tot = 0;
-      sc.departs_pos[0] = 0;
-      for (std::uint32_t i = 0; i < n; ++i) {
-        tot += raw[i];
-        if (tot > col_bytes[kColDeparts]) {
-          throw trace_format_error(
-              "trace v3: departs lengths exceed the departs column");
-        }
-        sc.departs_pos[i + 1] = static_cast<std::uint32_t>(tot);
-      }
-      sc.departs_flat.resize(static_cast<std::size_t>(tot));
-      raw = ensure_raw(static_cast<std::size_t>(tot));
-      decode_col(kColDeparts, raw, static_cast<std::size_t>(tot));
-      // Each record's departs are a delta chain seeded from its ingress.
-      for (std::uint32_t i = 0; i < n; ++i) {
-        sim::time_ps prev = sc.ingress[i];
-        for (std::uint32_t j = sc.departs_pos[i]; j < sc.departs_pos[i + 1];
-             ++j) {
-          prev = wrap_add(prev, unzigzag(raw[j]));
-          sc.departs_flat[j] = prev;
-        }
-      }
-    }
-  }
-  if (ncols_ >= kTraceV3DropColumnCount) {
-    decode_col(kColDropInfo, raw, n);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      sc.dropinfo[i] = narrow_u32(raw[i], "dropinfo");
-    }
-    decode_col(kColDropTime, raw, n);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      sc.drop_time[i] = wrap_add(sc.ingress[i], unzigzag(raw[i]));
-    }
-  }
-  if (ncols_ >= kTraceV3StallColumnCount) {
-    decode_col(kColStallInfo, raw, n);
-    for (std::uint32_t i = 0; i < n; ++i) sc.stallinfo[i] = raw[i];
-    decode_col(kColStallTime, raw, n);
-    for (std::uint32_t i = 0; i < n; ++i) {
-      sc.stall_time[i] = static_cast<sim::time_ps>(raw[i]);
-    }
-  }
-  // Assemble the whole block once; next()/next_run() then serve pointers
-  // into the records with no per-record copying. Never shrink records — the
-  // final short block would otherwise destroy warmed slot capacities and a
-  // post-seek re-drain would have to reallocate them.
-  if (sc.records.size() < n) sc.records.resize(n);
-  for (std::uint32_t i = 0; i < n; ++i) assemble(sc, i, sc.records[i]);
-}
-
-void trace_v3_cursor::assemble(const v3_block_scratch& sc, std::uint32_t i,
-                               packet_record& r) const {
-  r.id = sc.id[i];
-  r.flow_id = sc.flow[i];
-  r.seq_in_flow = sc.seq[i];
-  r.size_bytes = sc.psize[i];
-  r.src_host = sc.src[i];
-  r.dst_host = sc.dst[i];
-  r.ingress_time = sc.ingress[i];
-  r.egress_time = sc.egress[i];
-  r.queueing_delay = sc.qdelay[i];
-  r.flow_size_bytes = sc.fsize[i];
-  // assign() reuses the slot's vector capacity — no steady-state allocation.
-  r.path.assign(sc.path_flat.begin() + sc.path_pos[i],
-                sc.path_flat.begin() + sc.path_pos[i + 1]);
-  r.hop_departs.assign(sc.departs_flat.begin() + sc.departs_pos[i],
-                       sc.departs_flat.begin() + sc.departs_pos[i + 1]);
-  r.drop_hop = -1;
-  r.dropped_kind = drop_kind::buffer;
-  r.drop_time = -1;
-  r.stall_hop = -1;
-  r.stall_count = 0;
-  r.stall_time = 0;
-  if (ncols_ >= kTraceV3DropColumnCount && sc.dropinfo[i] != 0) {
-    const std::uint32_t info = sc.dropinfo[i];
-    const std::uint32_t kind = info & 3;
-    const std::uint32_t hop = (info >> 2) - 1;
-    if (kind > 1 || hop >= r.path.size()) {
-      throw trace_format_error("trace v3: malformed dropinfo value");
-    }
-    r.drop_hop = static_cast<std::int32_t>(hop);
-    r.dropped_kind = static_cast<drop_kind>(kind);
-    r.drop_time = sc.drop_time[i];
-  }
-  if (ncols_ >= kTraceV3StallColumnCount && sc.stallinfo[i] != 0) {
-    const std::uint64_t info = sc.stallinfo[i];
-    const std::uint64_t hop = (info & 0xFFFF) - 1;
-    const std::uint64_t count = info >> 16;
-    if (hop >= r.path.size() || count == 0 || count > UINT32_MAX ||
-        sc.stall_time[i] < 0) {
-      throw trace_format_error("trace v3: malformed stallinfo value");
-    }
-    r.stall_hop = static_cast<std::int32_t>(hop);
-    r.stall_count = static_cast<std::uint32_t>(count);
-    r.stall_time = sc.stall_time[i];
-  }
+  return n;
 }
 
 bool trace_v3_cursor::ensure_block() {
   if (block_pos_ < block_n_) return true;
   if (next_block_ >= block_count_) return false;
-  decode_block_into(next_block_, scratch_);
-  block_n_ = scratch_.n;
+  block_n_ = decode_block(next_block_);
   block_pos_ = 0;
   cur_block_ = next_block_++;
   return true;
@@ -899,51 +746,7 @@ const packet_record* trace_v3_cursor::next() {
     return nullptr;
   }
   ++served_;
-  return &scratch_.records[block_pos_++];
-}
-
-std::size_t trace_v3_cursor::next_run(
-    std::vector<const packet_record*>& out) {
-  if (!ensure_block()) {
-    if (!seeked_ && served_ != count_) {
-      throw trace_format_error(
-          "trace v3: blocks disagree with the declared record count");
-    }
-    return 0;
-  }
-  // Run detection is an array scan over the decoded ingress column. Almost
-  // every run ends inside the current block (or the file); those are served
-  // as pointers straight into the block's records. Whether a block-final
-  // run continues is read off the next block's index bound — no speculative
-  // block load.
-  const sim::time_ps t = scratch_.ingress[block_pos_];
-  std::uint32_t j = block_pos_ + 1;
-  while (j < block_n_ && scratch_.ingress[j] == t) ++j;
-  if (j < block_n_ || next_block_ >= block_count_ ||
-      bounds_at(next_block_).min_ingress != t) {
-    const std::size_t n = j - block_pos_;
-    for (std::uint32_t i = block_pos_; i < j; ++i) {
-      out.push_back(&scratch_.records[i]);
-    }
-    served_ += n;
-    block_pos_ = j;
-    return n;
-  }
-  // The run crosses into the next block: loading it reuses the per-block
-  // arrays, so this tail is copied into slots_ instead.
-  std::size_t n = 0;
-  for (;;) {
-    if (n == slots_.size()) slots_.emplace_back();
-    slots_[n] = scratch_.records[block_pos_++];
-    ++n;
-    ++served_;
-    if (!ensure_block()) break;
-    if (scratch_.ingress[block_pos_] != t) break;
-  }
-  // Publish only after the run is fully assembled: growing slots_ mid-run
-  // may reallocate and would dangle anything pushed earlier.
-  for (std::size_t i = 0; i < n; ++i) out.push_back(&slots_[i]);
-  return n;
+  return &records_[block_pos_++];
 }
 
 std::uint64_t trace_v3_cursor::current_block() const noexcept {
@@ -977,7 +780,7 @@ void trace_v3_cursor::seek_lower_bound(sim::time_ps t) {
   }
   seek_to_block(lo);
   if (!ensure_block()) return;  // t is past the last record
-  while (block_pos_ < block_n_ && scratch_.ingress[block_pos_] < t) {
+  while (block_pos_ < block_n_ && records_[block_pos_].ingress_time < t) {
     ++block_pos_;
   }
 }

@@ -3,9 +3,9 @@
 // The text format (trace_io.h) is the diffable interchange representation;
 // v3 is the replay representation. Text parsing dominates disk replay —
 // every field costs an istream round-trip — while v3 stores
-// block-structured delta-varint columns decoded in tight per-field loops,
-// mmapped read-only so multiple shard workers can walk the same mapping
-// without a per-worker copy of the trace.
+// block-structured delta-varint columns, mmapped read-only so multiple
+// shard workers can walk the same mapping without a per-worker copy of the
+// trace.
 //
 // v3 on-disk layout (all integers little-endian, varints LEB128):
 //
@@ -95,8 +95,8 @@ inline constexpr std::uint32_t kTraceV3IndexEntryBytes = 32;
 // 24 + 4 * column_count.
 inline constexpr std::uint32_t kTraceV3BlockHeaderBytes = 80;
 // Default records per block: large enough to amortize the 80B block header
-// + 32B index entry to ~0.03 B/record and give the per-column decode loops
-// long runs, small enough that the SoA scratch stays cache-resident.
+// + 32B index entry to ~0.03 B/record, small enough that one decoded block
+// of record slots stays cache-resident.
 inline constexpr std::uint32_t kTraceV3BlockRecords = 1024;
 // Base column set (zero-loss traces; header column_count 0 means this),
 // the widened set lossy traces write (base + dropinfo + dtime), and the
@@ -114,13 +114,6 @@ inline constexpr const char* kTraceV3ColumnNames[kTraceV3MaxColumnCount] = {
     std::uint32_t column_count) noexcept {
   return 24 + 4 * column_count;
 }
-
-// Page-cache advice for the file-backed cursor: a serial replay drains the
-// whole mapping front to back (MADV_SEQUENTIAL — aggressive readahead,
-// early reclaim), a block-seek consumer jumps via the index
-// (MADV_RANDOM — no wasted readahead). Matters once the trace exceeds page
-// cache; harmless below that.
-enum class trace_access : std::uint8_t { sequential, random };
 
 // True when the file starts with the v3 magic; false for anything else,
 // including files too short to hold one. Throws only when the file cannot
@@ -211,12 +204,11 @@ void save_trace_v3(const std::string& path, const trace& t);
 
 // Ingress-ordered trace_cursor over a v3 file: mmaps the file read-only,
 // validates the leading block index once (bounds, ordering, exact file
-// size), then decodes one block at a time into reused structure-of-arrays
-// scratch — each column is one tight varint loop over a contiguous byte
-// run, the shape a compiler can keep in registers and the prefetcher can
-// predict. next()/next_run() assemble packet_record slots out of the
-// decoded arrays; same-instant run detection is an array scan, not a
-// decode. Zero steady-state allocation once the scratch buffers warm.
+// size), then decodes one block at a time in a single pass — one read
+// pointer per column, each record's fields read in turn straight into a
+// reused packet_record slot, every structural check made on the way.
+// next() serves pointers to those slots. Zero steady-state allocation once
+// the slots' vectors have warmed.
 //
 // Because every block decodes standalone and the index lives at the head of
 // the file, seek_lower_bound()/seek_to_block() start mid-file after
@@ -224,8 +216,7 @@ void save_trace_v3(const std::string& path, const trace& t);
 // lets disk shards fan out over one huge mapping.
 class trace_v3_cursor final : public trace_cursor {
  public:
-  explicit trace_v3_cursor(const std::string& path,
-                           trace_access access = trace_access::sequential);
+  explicit trace_v3_cursor(const std::string& path);
   // Borrows an external buffer (tests over mutated images). The buffer must
   // outlive the cursor.
   trace_v3_cursor(const std::uint8_t* data, std::size_t size);
@@ -234,7 +225,6 @@ class trace_v3_cursor final : public trace_cursor {
   trace_v3_cursor& operator=(const trace_v3_cursor&) = delete;
 
   [[nodiscard]] const packet_record* next() override;
-  std::size_t next_run(std::vector<const packet_record*>& out) override;
   [[nodiscard]] std::size_t size_hint() const noexcept override {
     return static_cast<std::size_t>(count_);
   }
@@ -279,40 +269,13 @@ class trace_v3_cursor final : public trace_cursor {
   void seek_to_block(std::uint64_t b);
   void seek_lower_bound(sim::time_ps t);
 
-  [[nodiscard]] const std::uint8_t* data() const noexcept { return data_; }
   [[nodiscard]] std::size_t file_size() const noexcept { return size_; }
 
  private:
-  // Everything one block decode produces, structure-of-arrays plus the
-  // assembled records. All vector capacities persist across reuse (zero
-  // steady-state allocation once warm).
-  struct v3_block_scratch {
-    std::uint64_t block = UINT64_MAX;  // block id this scratch holds
-    std::uint32_t n = 0;               // records decoded
-    std::vector<sim::time_ps> ingress, egress, qdelay;
-    std::vector<std::uint64_t> id, flow, fsize;
-    std::vector<std::uint32_t> seq, psize;
-    std::vector<node_id> src, dst;
-    std::vector<std::uint32_t> path_pos, departs_pos;  // prefix offsets
-    std::vector<node_id> path_flat;
-    std::vector<sim::time_ps> departs_flat;
-    // Drop columns (sized only for 16+-column files; empty otherwise).
-    std::vector<std::uint32_t> dropinfo;  // 0, or ((drop_hop+1)<<2)|kind
-    std::vector<sim::time_ps> drop_time;
-    // Stall columns (sized only for 18-column files; empty otherwise).
-    std::vector<std::uint64_t> stallinfo;  // 0, or (count<<16)|(hop+1)
-    std::vector<sim::time_ps> stall_time;
-    // Raw batched-varint staging shared by every column of a block.
-    std::vector<std::uint64_t> raw;
-    // Assembled records, served by pointer; sized to the largest block
-    // seen and never shrunk so slot capacities persist.
-    std::vector<packet_record> records;
-  };
   void validate_header_and_index();
-  // Decodes block `b` into `sc`.
-  void decode_block_into(std::uint64_t b, v3_block_scratch& sc) const;
-  void assemble(const v3_block_scratch& sc, std::uint32_t i,
-                packet_record& r) const;
+  // Decodes block `b` into records_[0, n) and returns n; throws
+  // trace_format_error on any structural damage.
+  std::uint32_t decode_block(std::uint64_t b);
   // Makes the next block current if the present one is exhausted; false at
   // end of file.
   bool ensure_block();
@@ -330,16 +293,16 @@ class trace_v3_cursor final : public trace_cursor {
   std::uint32_t records_per_block_ = 0;
   std::uint32_t ncols_ = kTraceV3ColumnCount;  // from the header
 
-  // Serving state over the block decoded into scratch_.
+  // Serving state over the block decoded into records_.
   std::uint64_t cur_block_ = UINT64_MAX;
   std::uint32_t block_n_ = 0;   // records in the decoded block
   std::uint32_t block_pos_ = 0; // next record within the decoded block
   std::uint64_t next_block_ = 0;
   std::uint64_t served_ = 0;
   bool seeked_ = false;
-  v3_block_scratch scratch_;  // decode target
-  std::vector<packet_record> slots_;  // copy-out storage for runs that
-                                      // span a block boundary (rare)
+  // Decoded record slots, sized to the largest block seen and never shrunk
+  // so their vector capacities persist.
+  std::vector<packet_record> records_;
 };
 
 }  // namespace ups::net

@@ -12,12 +12,12 @@
 // Level-0 buckets are one picosecond wide, so every event in a bucket shares
 // an exact timestamp: dispatch pulls the whole bucket as one batched
 // same-instant run, sorts it once by (phase, sequence), and pops entries with
-// no further ordering work — run_instant() exposes the batch directly,
-// mirroring trace_cursor::next_run. Events scheduled *for* the instant being
-// dispatched insert into the live run at their (phase, sequence) position,
-// which keeps the dispatch order byte-identical to a global (time, phase,
-// sequence) priority queue (the previous 4-ary heap kernel survives as
-// sim/heap_kernel.h and a fuzz suite asserts the equivalence).
+// no further ordering work — run_instant() exposes the batch directly.
+// Events scheduled *for* the instant being dispatched insert into the live
+// run at their (phase, sequence) position, which keeps the dispatch order
+// byte-identical to a global (time, phase, sequence) priority queue (the
+// previous 4-ary heap kernel survives as sim/heap_kernel.h and a fuzz suite
+// asserts the equivalence).
 //
 // Events scheduled for the same instant run in scheduling order, which keeps
 // every simulation deterministic. Steady-state scheduling is allocation-free:

@@ -224,23 +224,6 @@ TEST(trace_io, declared_count_mismatch_is_a_hard_error_in_both_readers) {
   }
 }
 
-TEST(trace_io, stream_reader_next_run_counts_match_next) {
-  const auto r = small_run(false);
-  std::stringstream ss;
-  write_trace(ss, r.tr);
-  trace_stream_reader reader(ss);
-  std::vector<const packet_record*> run;
-  std::size_t total = 0;
-  for (;;) {
-    run.clear();
-    const std::size_t n = reader.next_run(run);
-    if (n == 0) break;
-    total += n;
-  }
-  EXPECT_EQ(total, r.tr.packets.size());
-  EXPECT_EQ(reader.read(), r.tr.packets.size());
-}
-
 TEST(trace_io, unsorted_cursor_rejected_by_replay) {
   auto r = small_run(false);
   // A recorder-ordered (egress-time) file is not ingress-sorted; feeding it

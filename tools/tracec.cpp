@@ -127,11 +127,6 @@ struct flags {
   }
 };
 
-[[nodiscard]] double wall_since(std::chrono::steady_clock::time_point t0) {
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-      .count();
-}
-
 int cmd_gen(const std::string& out, const flags& f) {
   exp::scenario sc;
   sc.topo = parse_topo(f.get("topo", "i2"));
@@ -234,7 +229,7 @@ int cmd_convert(const std::string& in, const std::string& out,
   }
   std::printf("converted %llu records to %s in %.3fs -> %s\n",
               static_cast<unsigned long long>(n), target.c_str(),
-              wall_since(t0), out.c_str());
+              exp::wall_seconds_since(t0), out.c_str());
   return 0;
 }
 
@@ -493,7 +488,7 @@ int cmd_replay(const std::string& path, const flags& f,
   const auto t0 = std::chrono::steady_clock::now();
   const exp::dispatch::run_report rep = exp::dispatch::run(
       exp::dispatch::job_plan::from_disk(std::move(task), opt), spec);
-  const double wall = wall_since(t0);
+  const double wall = exp::wall_seconds_since(t0);
   rep.throw_if_failed();
   // The two-space result lines are deterministic (no timings), so
   //   tracec replay ... | grep '^  '
