@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 #include <stdexcept>
+#include <string>
 
 #include "core/registry.h"
 #include "sim/simulator.h"
@@ -55,6 +56,18 @@ net::packet_ptr packet_from_record(net::network& net,
   for (const net::node_id v : r.path) {
     if (!is_kind(v, net::node_kind::router)) {
       throw std::invalid_argument("replay: record path entry is not a router");
+    }
+  }
+  // Every hop, the last one into the destination host included, must be a
+  // link: a broken path would otherwise fail deep inside the run (tmin, or
+  // a port lookup in the event loop) with an untyped error.
+  for (std::size_t j = 0; j < r.path.size(); ++j) {
+    const net::node_id next =
+        j + 1 < r.path.size() ? r.path[j + 1] : r.dst_host;
+    if (!net.has_port(r.path[j], next)) {
+      throw std::invalid_argument(
+          "replay: record " + std::to_string(r.id) + " has no link " +
+          std::to_string(r.path[j]) + " -> " + std::to_string(next));
     }
   }
   net::packet_ptr p = net.pool().make();
@@ -159,6 +172,12 @@ net::packet_ptr packet_from_record(net::network& net,
 // then re-arms itself at the next record's. Only in-flight packets (plus
 // the one pending record, held by the cursor) are ever resident, which is
 // the whole point of streaming injection.
+//
+// The feeder's event is early-phase and nothing else in a streaming replay
+// posts early events, so it runs first in its instant with nothing between
+// it and the injections up-front mode would have posted there: it delivers
+// them inline (network::inject_now), in record order, instead of posting
+// one early event per record.
 struct streaming_feeder {
   net::trace_cursor& cur;
   net::network& net;
@@ -169,10 +188,10 @@ struct streaming_feeder {
   void arm() {
     pending = cur.next();
     if (pending == nullptr) return;
-    // Early phase: the feeder (and the injections it posts, also early)
-    // must precede every same-instant forwarded arrival, or a rank tie
-    // between an injected and an in-network packet could resolve in the
-    // opposite order from up-front injection.
+    // Early phase: the feeder (and so the injections it delivers) must
+    // precede every same-instant forwarded arrival, or a rank tie between
+    // an injected and an in-network packet could resolve in the opposite
+    // order from up-front injection.
     net.sim().schedule_early(pending->ingress_time, [this] { fire(); });
   }
 
@@ -181,7 +200,7 @@ struct streaming_feeder {
     // Inject before pulling: the cursor may reuse the pending record's
     // storage for the next one.
     do {
-      net.inject_at_ingress(packet_from_record(net, *pending, opt), now);
+      net.inject_now(packet_from_record(net, *pending, opt));
       ++injected;
       pending = cur.next();
     } while (pending != nullptr && pending->ingress_time == now);
@@ -271,6 +290,7 @@ replay_result replay_trace(net::trace_cursor& cur,
             });
   res.peak_pool_packets = net.pool().created();
   res.peak_event_slots = sim.slot_capacity();
+  res.events = sim.events_processed();
   return res;
 }
 

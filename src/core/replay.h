@@ -67,6 +67,9 @@ struct replay_result {
   // operator==-style identity checks in tests/benches.
   std::uint64_t peak_pool_packets = 0;
   std::uint64_t peak_event_slots = 0;
+  // Kernel events the replay dispatched (informational, like the two
+  // above): per packet, the cost of a hop in events.
+  std::uint64_t events = 0;
 
   [[nodiscard]] double frac_overdue() const {
     return total == 0 ? 0.0 : static_cast<double>(overdue) / total;

@@ -23,6 +23,7 @@ void encode_replay_result(const replay_result& r,
   put_varint(out, zigzag(r.threshold_T));
   put_varint(out, r.peak_pool_packets);
   put_varint(out, r.peak_event_slots);
+  put_varint(out, r.events);
   put_varint(out, r.outcomes.size());
   std::uint64_t prev_id = 0;
   sim::time_ps prev_orig_out = 0;
@@ -55,6 +56,7 @@ replay_result decode_replay_result(const std::uint8_t*& p,
   r.threshold_T = unzigzag(get_varint(p, end));
   r.peak_pool_packets = get_varint(p, end);
   r.peak_event_slots = get_varint(p, end);
+  r.events = get_varint(p, end);
   const std::uint64_t n = get_varint(p, end);
   // A garbled count would otherwise drive a multi-GB reserve before the
   // per-outcome reads hit the truncation check: each outcome costs >= 5

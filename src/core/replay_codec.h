@@ -33,10 +33,10 @@ class codec_error : public std::runtime_error {
   explicit codec_error(const std::string& what) : std::runtime_error(what) {}
 };
 
-// v2 added the replay-under-loss `dropped` counter. The codec only ever
-// crosses a pipe between two processes of the same binary, so no
-// back-compat decode path is kept.
-inline constexpr std::uint8_t kReplayCodecVersion = 2;
+// v2 added the replay-under-loss `dropped` counter, v3 the kernel `events`
+// count. The codec only ever crosses a pipe between two processes of the
+// same binary, so no back-compat decode path is kept.
+inline constexpr std::uint8_t kReplayCodecVersion = 3;
 
 // Appends the encoding of `r` to `out` (the buffer is not cleared, so a
 // caller can pack several results into one frame).

@@ -203,13 +203,17 @@ void network::send_from_host(packet_ptr p) {
   port_between(p->src_host, p->path.front()).receive(std::move(p));
 }
 
-void network::inject_at_ingress(packet_ptr p, sim::time_ps at) {
+node_id network::admit(packet& p, sim::time_ps at) {
   assert(built_);
-  if (p->path.empty()) route(p->src_host, p->dst_host, p->path);
-  p->hop = 0;
-  p->created_at = at;
+  if (p.path.empty()) route(p.src_host, p.dst_host, p.path);
+  p.hop = 0;
+  p.created_at = at;
   ++stats_.injected;
-  const node_id ingress = p->path.front();
+  return p.path.front();
+}
+
+void network::inject_at_ingress(packet_ptr p, sim::time_ps at) {
+  const node_id ingress = admit(*p, at);
   // Early-phase delivery: injected packets enter ahead of any same-instant
   // forwarded arrival, whenever their delivery event was scheduled. This
   // makes injection order depend only on (time, injection sequence), so
@@ -218,19 +222,13 @@ void network::inject_at_ingress(packet_ptr p, sim::time_ps at) {
   post(std::move(p), ingress, at, /*early=*/true);
 }
 
+void network::inject_now(packet_ptr p) {
+  const node_id ingress = admit(*p, sim_.now());
+  deliver(std::move(p), ingress);
+}
+
 void network::post(packet_ptr p, node_id to, sim::time_ps at, bool early) {
-  std::size_t slot;
-  if (!free_slots_.empty()) {
-    slot = free_slots_.back();
-    free_slots_.pop_back();
-    in_flight_[slot] = std::move(p);
-  } else {
-    slot = in_flight_.size();
-    in_flight_.push_back(std::move(p));
-  }
-  auto deliver_cb = [this, slot, to] {
-    packet_ptr q = std::move(in_flight_[slot]);
-    free_slots_.push_back(slot);
+  auto deliver_cb = [this, to, q = std::move(p)]() mutable {
     deliver(std::move(q), to);
   };
   if (early) {
@@ -240,8 +238,7 @@ void network::post(packet_ptr p, node_id to, sim::time_ps at, bool early) {
   }
 }
 
-void network::transmitted(packet_ptr p, const port& from_port,
-                          sim::time_ps now) {
+void network::transmitted(packet_ptr p, port& from_port, sim::time_ps now) {
   const node_id to = from_port.to();
   // Credit held at the *previous* hop becomes returnable the instant the
   // packet's last bit leaves this router — before any drop decision below,
@@ -271,8 +268,15 @@ void network::transmitted(packet_ptr p, const port& from_port,
   if (nodes_[to].kind == node_kind::host) {
     // Last bit left the egress router: this is o(p).
     if (hooks_.on_egress) hooks_.on_egress(*p, now);
+    if (!host_handlers_installed_ && link_flows_.empty()) {
+      // Nothing observes the host delivery (no handler, no flow-control
+      // progress count): deliver here and release the packet.
+      assert(to == p->dst_host);
+      ++stats_.delivered;
+      return;
+    }
   }
-  post(std::move(p), to, now + from_port.prop_delay());
+  from_port.launch(std::move(p), now + from_port.prop_delay());
 }
 
 void network::deliver(packet_ptr p, node_id at) {
@@ -464,6 +468,7 @@ void network::set_host_handler(node_id host,
                                std::function<void(packet_ptr)> h) {
   assert(built_);
   host_handlers_[host] = std::move(h);
+  host_handlers_installed_ = true;
 }
 
 }  // namespace ups::net

@@ -79,6 +79,10 @@ struct network_stats {
 class network {
  public:
   explicit network(sim::simulator& sim) : sim_(sim) {}
+  // Discards the simulation's pending events: some hold this network's
+  // packets (up-front injections, stall holds), and every one of them may
+  // reach into the network when run.
+  ~network() { sim_.discard_pending(); }
   network(const network&) = delete;
   network& operator=(const network&) = delete;
 
@@ -121,9 +125,21 @@ class network {
   // Replay injection: delivers p at its ingress router at time `at`,
   // bypassing the host link exactly as the paper's replay model does.
   void inject_at_ingress(packet_ptr p, sim::time_ps at);
+  // Replay injection at the current instant, delivered inline rather than
+  // through an early-phase event. Same outcome as inject_at_ingress(p,
+  // now()) only when nothing else runs in the early phase of this instant:
+  // the streaming feeder's case (its own early event is the first and only
+  // one at its instant).
+  void inject_now(packet_ptr p);
 
   // --- forwarding internals (used by port) ---
-  void transmitted(packet_ptr p, const port& from_port, sim::time_ps now);
+  // The last bit of p left from_port: re-enacts recorded wire drops, runs
+  // live fault processes, fires on_egress at the egress router, then puts p
+  // on the wire — or, when nothing can observe the host delivery, counts it
+  // delivered right here.
+  void transmitted(packet_ptr p, port& from_port, sim::time_ps now);
+  // p's last bit arrived at node `at`.
+  void deliver(packet_ptr p, node_id at);
   void count_drop(const packet& p, node_id at, sim::time_ps now,
                   drop_kind kind);
   // A governed port's head packet parked for lack of credits: count it and
@@ -145,6 +161,9 @@ class network {
   }
   // Directed port from -> to; throws if absent.
   [[nodiscard]] port& port_between(node_id from, node_id to);
+  [[nodiscard]] bool has_port(node_id from, node_id to) const {
+    return find_port(from, to) != nullptr;
+  }
   [[nodiscard]] const std::vector<std::unique_ptr<port>>& ports() const {
     return ports_;
   }
@@ -178,7 +197,9 @@ class network {
   [[nodiscard]] sim::simulator& sim() noexcept { return sim_; }
 
   // Registers a per-host packet consumer (transport endpoints). Without a
-  // handler delivered packets are counted and destroyed.
+  // handler delivered packets are counted and destroyed; a network that
+  // never had one (and runs no flow control) does so as the last bit
+  // leaves the egress router, skipping the host link.
   void set_host_handler(node_id host, std::function<void(packet_ptr)> h);
 
  private:
@@ -189,8 +210,12 @@ class network {
     sim::time_ps delay;
   };
 
-  void deliver(packet_ptr p, node_id at);
-  // `early`: deliver ahead of same-instant normal events (replay injection).
+  // Counts p injected and stamps its entry state (routing it if needed);
+  // returns its ingress router.
+  node_id admit(packet& p, sim::time_ps at);
+  // Delivers p to `to` at `at` through its own kernel event (up-front
+  // injection and stall holds; wires go through port::launch). `early`:
+  // ahead of same-instant normal events (replay injection).
   void post(packet_ptr p, node_id to, sim::time_ps at, bool early = false);
   [[nodiscard]] const port* find_port(node_id from, node_id to) const;
   // Schedules the delayed credit-return for one (port, bytes) release.
@@ -199,8 +224,9 @@ class network {
   void flow_watchdog_check();
 
   sim::simulator& sim_;
-  // Declared before every member that can hold packets (ports_, in_flight_)
-  // so it is destroyed last: pooled packets return here on destruction.
+  // Declared before every member that can hold packets (ports_ and their
+  // wires) so it is destroyed last: pooled packets return here on
+  // destruction.
   packet_pool pool_;
   std::vector<node> nodes_;
   std::vector<link_spec> links_;
@@ -245,10 +271,9 @@ class network {
   std::vector<std::int32_t> route_row_;
   std::vector<node_id> route_prev_;
   std::vector<std::function<void(packet_ptr)>> host_handlers_;
-
-  // in-flight packet arena (packets on the wire between ports)
-  std::vector<packet_ptr> in_flight_;
-  std::vector<std::size_t> free_slots_;
+  // No host handler was ever installed: a packet leaving its egress router
+  // has no observer left, so (flow control off) it is delivered there.
+  bool host_handlers_installed_ = false;
 
   network_hooks hooks_;
   network_stats stats_;

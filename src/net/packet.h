@@ -22,6 +22,19 @@ inline constexpr node_id kInvalidNode = -1;
 
 enum class packet_kind : std::uint8_t { data, ack };
 
+struct packet;
+class packet_pool;
+
+// Deleter for pooled packets: returns the packet to its owning pool, or
+// frees it outright when it was created without one (tests, ad-hoc tools).
+// Defined in packet_pool.cpp so that packet.h stays dependency-free.
+struct packet_recycler {
+  packet_pool* pool = nullptr;
+  void operator()(packet* p) const noexcept;
+};
+
+using packet_ptr = std::unique_ptr<packet, packet_recycler>;
+
 struct packet {
   // --- identity ---
   std::uint64_t id = 0;
@@ -96,6 +109,14 @@ struct packet {
   std::int32_t forced_stall_hop = -1;
   sim::time_ps forced_stall_time = 0;
 
+  // --- delay-line link, set while the packet propagates on a wire ---
+  // The sending port's wire is a FIFO threaded through its packets: the
+  // next packet behind this one, this one's arrival time at the far end,
+  // and the kernel sequence number its arrival event would have taken.
+  packet_ptr wire_next;
+  sim::time_ps wire_arrival = 0;
+  std::uint64_t wire_seq = 0;
+
   [[nodiscard]] bool at_last_router() const noexcept {
     return hop + 1 >= path.size();
   }
@@ -145,20 +166,11 @@ struct packet {
     stall_max = 0;
     forced_stall_hop = -1;
     forced_stall_time = 0;
+    wire_next.reset();
+    wire_arrival = 0;
+    wire_seq = 0;
   }
 };
-
-class packet_pool;
-
-// Deleter for pooled packets: returns the packet to its owning pool, or
-// frees it outright when it was created without one (tests, ad-hoc tools).
-// Defined in packet_pool.cpp so that packet.h stays dependency-free.
-struct packet_recycler {
-  packet_pool* pool = nullptr;
-  void operator()(packet* p) const noexcept;
-};
-
-using packet_ptr = std::unique_ptr<packet, packet_recycler>;
 
 // Creates an unpooled packet (destroyed with delete). Hot paths should use
 // packet_pool::make() instead; this exists for tests and one-off tooling.

@@ -20,6 +20,12 @@ port::port(network& net, sim::simulator& sim, std::int32_t id, node_id from,
       sched_(std::move(sched)),
       buffer_bytes_(buffer_bytes) {}
 
+port::~port() {
+  // Unlink one packet at a time: destroying the head with its chain
+  // attached would recurse once per packet on the wire.
+  while (wire_head_ != nullptr) wire_head_ = std::move(wire_head_->wire_next);
+}
+
 void port::receive(packet_ptr p) {
   const sim::time_ps now = sim_.now();
   p->port_enqueue_time = now;
@@ -63,10 +69,17 @@ void port::receive(packet_ptr p) {
 void port::schedule_start() {
   if (pending_start_ || busy()) return;
   pending_start_ = true;
-  sim_.schedule_late(sim_.now(), [this] {
+  auto decide = [this] {
     pending_start_ = false;
     if (!busy()) start_next();
-  });
+  };
+  constexpr auto late = sim::simulator::phase::late;
+  if (idle_seq_ != 0 && sim_.slot_pending(idle_at_, late, idle_seq_)) {
+    sim_.schedule_reserved(idle_at_, late, idle_seq_, decide);
+  } else {
+    sim_.schedule_late(sim_.now(), decide);
+  }
+  idle_seq_ = 0;
 }
 
 void port::start_next() {
@@ -153,7 +166,44 @@ void port::on_complete() {
     p->hop_departs.push_back(now);
   }
   net_.transmitted(std::move(p), *this, now);
+  if (!pending_start_ && sched_->empty() && blocked_head_ == nullptr) {
+    // A decision now would find nothing to send: reserve its place only.
+    idle_seq_ = sim_.reserve_seq();
+    idle_at_ = now;
+    return;
+  }
   schedule_start();
+}
+
+void port::launch(packet_ptr p, sim::time_ps arrival) {
+  assert(wire_tail_ == nullptr || wire_tail_->wire_arrival <= arrival);
+  p->wire_arrival = arrival;
+  p->wire_seq = sim_.reserve_seq();
+  packet* const tail = p.get();
+  if (wire_tail_ == nullptr) {
+    wire_head_ = std::move(p);
+    arm_wire();
+  } else {
+    wire_tail_->wire_next = std::move(p);
+  }
+  wire_tail_ = tail;
+}
+
+void port::arm_wire() {
+  sim_.schedule_reserved(wire_head_->wire_arrival,
+                         sim::simulator::phase::normal, wire_head_->wire_seq,
+                         [this] { land(); });
+}
+
+void port::land() {
+  packet_ptr p = std::move(wire_head_);
+  wire_head_ = std::move(p->wire_next);
+  if (wire_head_ != nullptr) {
+    arm_wire();
+  } else {
+    wire_tail_ = nullptr;
+  }
+  net_.deliver(std::move(p), to_);
 }
 
 void port::drop(packet_ptr p) {

@@ -1,10 +1,16 @@
-// Output port: one directed transmitter with a scheduler-managed queue.
+// Output port: one directed transmitter with a scheduler-managed queue,
+// feeding its link.
 //
 // Implements the paper's store-and-forward model: the next node receives a
 // packet only after its last bit arrives. Slack accounting follows §2.1 —
 // slack is consumed by *waiting* only, never by transmission or propagation —
 // and works uniformly for preemptive and non-preemptive service because the
 // wait is computed as (departure − enqueue) − total transmission time.
+//
+// The link is a delay line: packets whose last bit has left wait on the
+// wire in FIFO order (propagation is constant and last bits leave in order,
+// so arrivals never decrease), and only the wire's head holds a kernel
+// event; landing it arms the next.
 #pragma once
 
 #include <cstdint>
@@ -41,10 +47,16 @@ class port {
 
   port(const port&) = delete;
   port& operator=(const port&) = delete;
+  ~port();
 
   // Enqueues a packet for transmission (may drop on buffer overflow or
   // preempt the packet in service when the scheduler supports it).
   void receive(packet_ptr p);
+
+  // Puts a packet whose last bit just left onto the wire; it is delivered
+  // to to() at `arrival`, under the kernel sequence number it takes now —
+  // the place its own arrival event would have had.
+  void launch(packet_ptr p, sim::time_ps arrival);
 
   // Enables resume-style preemption (used by preemptive LSTF): the packet in
   // service is paused, already-transmitted bits are kept, and the remainder
@@ -96,6 +108,8 @@ class port {
   void schedule_start();
   void start_next();
   void on_complete();
+  void arm_wire();
+  void land();
   void maybe_preempt();
   void drop(packet_ptr p);
 
@@ -121,6 +135,16 @@ class port {
   sim::time_ps tx_started_ = 0;
   sim::simulator::handle completion_{};
   bool pending_start_ = false;
+  // A completion that left nothing to send posts no service decision; it
+  // reserves the decision's sequence number instead (idle_seq_, 0 = none),
+  // and a schedule_start at the same instant posts under it while that
+  // slot is still ahead — the decision the empty one would have been.
+  std::uint64_t idle_seq_ = 0;
+  sim::time_ps idle_at_ = 0;
+  // The wire: head (holding the one kernel event) and tail of the FIFO
+  // threaded through packet::wire_next.
+  packet_ptr wire_head_;
+  packet* wire_tail_ = nullptr;
   port_stats stats_;
 };
 

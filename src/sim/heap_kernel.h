@@ -1,8 +1,9 @@
-// Reference event kernel: the pre-wheel 4-ary flat-key heap, frozen.
+// Reference event kernel: the pre-wheel 4-ary flat-key heap.
 //
 // This is the simulator's previous ordering structure (slab of
 // generation-stamped slots over a 4-ary min-heap of (time, phase, seq)
-// keys), kept verbatim as a self-contained header so that
+// keys), kept as a self-contained header with the simulator's scheduling
+// API (reserved sequence numbers included) so that
 //   * the randomized kernel-equivalence suite (tests/test_sim_wheel.cpp)
 //     can drive both kernels with one fuzz script and assert identical
 //     dispatch order, and
@@ -27,6 +28,7 @@ namespace ups::sim {
 class heap_simulator {
  public:
   using callback = inline_callback;
+  enum class phase : std::uint8_t { early = 0, normal = 1, late = 2 };
 
   struct handle {
     std::uint64_t id = 0;
@@ -40,22 +42,40 @@ class heap_simulator {
   [[nodiscard]] time_ps now() const noexcept { return now_; }
 
   handle schedule_at(time_ps t, callback cb) {
-    return schedule(t, kPhaseNormal, std::move(cb));
+    return schedule(t, phase::normal, std::move(cb));
   }
 
   // Saturates on signed overflow of now + dt, mirroring simulator: a
   // far-future relative timer lands at the end of time instead of wrapping
   // into the past (the two kernels must stay dispatch-order identical).
   handle schedule_in(time_ps dt, callback cb) {
-    return schedule(future_time(now_, dt), kPhaseNormal, std::move(cb));
+    return schedule(future_time(now_, dt), phase::normal, std::move(cb));
   }
 
   handle schedule_early(time_ps t, callback cb) {
-    return schedule(t, kPhaseEarly, std::move(cb));
+    return schedule(t, phase::early, std::move(cb));
   }
 
   handle schedule_late(time_ps t, callback cb) {
-    return schedule(t, kPhaseLate, std::move(cb));
+    return schedule(t, phase::late, std::move(cb));
+  }
+
+  // Reserved sequence numbers, with simulator's contract.
+  [[nodiscard]] std::uint64_t reserve_seq() noexcept { return next_seq_++; }
+
+  handle schedule_reserved(time_ps t, phase ph, std::uint64_t seq,
+                           callback cb) {
+    const std::uint64_t order = order_of(ph, seq);
+    if (!slot_pending(t, order)) {
+      throw std::logic_error(
+          "heap_simulator: posting a reserved slot that has already come up");
+    }
+    return push_new(t, order, std::move(cb));
+  }
+
+  [[nodiscard]] bool slot_pending(time_ps t, phase ph,
+                                  std::uint64_t seq) const noexcept {
+    return slot_pending(t, order_of(ph, seq));
   }
 
   void cancel(handle h) {
@@ -74,7 +94,10 @@ class heap_simulator {
 
   bool run_next() {
     for (;;) {
-      if (heap_.empty()) return false;
+      if (heap_.empty()) {
+        mark_drained();
+        return false;
+      }
       const heap_entry top = heap_[0];
       event_slot& s = slots_[top.slot];
       if (s.cancelled) {
@@ -84,6 +107,7 @@ class heap_simulator {
       }
       assert(top.at >= now_);
       now_ = top.at;
+      dispatch_order_ = top.order;
       ++processed_;
       --live_;
       callback cb = std::move(s.cb);
@@ -106,6 +130,7 @@ class heap_simulator {
       purge_cancelled_top();
     }
     if (now_ < t) now_ = t;
+    mark_drained();
   }
 
   [[nodiscard]] bool empty() const noexcept { return live_ == 0; }
@@ -131,9 +156,7 @@ class heap_simulator {
   static constexpr std::uint64_t kSlotBits = 24;
   static constexpr std::uint64_t kSlotMask = (1ull << kSlotBits) - 1;
   static constexpr std::uint64_t kGenMask = (1ull << 40) - 1;
-  static constexpr std::uint8_t kPhaseEarly = 0;
-  static constexpr std::uint8_t kPhaseNormal = 1;
-  static constexpr std::uint8_t kPhaseLate = 2;
+  static constexpr std::uint64_t kSeqMask = (1ull << 62) - 1;
 
   struct event_slot {
     callback cb;
@@ -155,7 +178,29 @@ class heap_simulator {
 
   static constexpr std::size_t kArity = 4;
 
-  handle schedule(time_ps t, std::uint8_t phase, callback cb) {
+  [[nodiscard]] static std::uint64_t order_of(phase ph,
+                                              std::uint64_t seq) noexcept {
+    return (static_cast<std::uint64_t>(ph) << 62) | seq;
+  }
+
+  [[nodiscard]] bool slot_pending(time_ps t,
+                                  std::uint64_t order) const noexcept {
+    if (t != now_) return t > now_;
+    if (t == drained_at_ && (order & kSeqMask) < drained_below_) return false;
+    return order > dispatch_order_;
+  }
+
+  void mark_drained() noexcept {
+    drained_at_ = now_;
+    drained_below_ = next_seq_;
+    dispatch_order_ = 0;
+  }
+
+  handle schedule(time_ps t, phase ph, callback cb) {
+    return push_new(t, order_of(ph, next_seq_++), std::move(cb));
+  }
+
+  handle push_new(time_ps t, std::uint64_t order, callback cb) {
     if (t < now_) {
       throw std::logic_error("heap_simulator: scheduling into the past");
     }
@@ -175,8 +220,6 @@ class heap_simulator {
     s.cb = std::move(cb);
     s.queued = true;
     s.cancelled = false;
-    const std::uint64_t order =
-        (static_cast<std::uint64_t>(phase) << 62) | next_seq_++;
     heap_push(heap_entry{t, order, slot});
     ++live_;
     return handle{(s.generation << kSlotBits) |
@@ -236,6 +279,9 @@ class heap_simulator {
   std::uint64_t next_seq_ = 1;
   std::uint64_t processed_ = 0;
   std::size_t live_ = 0;
+  std::uint64_t dispatch_order_ = 0;
+  time_ps drained_at_ = -1;
+  std::uint64_t drained_below_ = 0;
   std::vector<event_slot> slots_;
   std::vector<std::uint32_t> free_slots_;
   std::vector<heap_entry> heap_;

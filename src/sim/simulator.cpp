@@ -28,8 +28,13 @@ void simulator::throw_slab_exhausted() {
   throw std::length_error("simulator: more than 2^24 concurrent events");
 }
 
-simulator::handle simulator::schedule(time_ps t, std::uint8_t phase,
-                                      callback cb) {
+void simulator::throw_reserved_passed() {
+  throw std::logic_error(
+      "simulator: posting a reserved slot that has already come up");
+}
+
+simulator::handle simulator::place_new(time_ps t, std::uint64_t order,
+                                       callback&& cb) {
   if (t < now_) {
     throw_past_schedule();
   }
@@ -53,7 +58,7 @@ simulator::handle simulator::schedule(time_ps t, std::uint8_t phase,
   s.queued = true;
   s.cancelled = false;
   s.at = t;
-  s.order = (static_cast<std::uint64_t>(phase) << 62) | next_seq_++;
+  s.order = order;
   if (ready_active() && t == ready_time_) {
     // Scheduled for the instant currently being dispatched (t == now_):
     // join the live run at the (phase, seq) position a global priority
@@ -86,6 +91,16 @@ void simulator::cancel(handle h) {
   s.cb.reset();  // release captures now; the wheel entry purges lazily
   assert(live_ > 0);
   --live_;
+}
+
+void simulator::discard_pending() noexcept {
+  for (event_slot& s : slots_) {
+    if (s.queued && !s.cancelled) {
+      s.cancelled = true;
+      s.cb.reset();
+    }
+  }
+  live_ = 0;
 }
 
 int simulator::level_for(time_ps t) const noexcept {
@@ -252,6 +267,7 @@ std::size_t simulator::run_ready_run() {
     }
     assert(e.at >= now_);
     now_ = e.at;
+    dispatch_order_ = e.order;
     ++processed_;
     --live_;
     callback cb = std::move(s.cb);
@@ -265,7 +281,10 @@ std::size_t simulator::run_ready_run() {
 std::size_t simulator::run_instant() {
   std::size_t total = 0;
   for (;;) {
-    if (ready_pos_ >= ready_.size() && !refill_ready(kNoLimit)) return total;
+    if (ready_pos_ >= ready_.size() && !refill_ready(kNoLimit)) {
+      mark_drained();
+      return total;
+    }
     total += run_ready_run();
     // An event chain-scheduled by the *last* callback of the run lands in a
     // fresh bucket at the same instant; the limit-capped refill pulls it
@@ -275,7 +294,10 @@ std::size_t simulator::run_instant() {
     while (refill_ready(t)) {
       total += run_ready_run();
     }
-    if (total > 0) return total;
+    if (total > 0) {
+      mark_drained();
+      return total;
+    }
     // A fully cancelled-after-materialize run: consume the next instant.
   }
 }
@@ -291,6 +313,7 @@ void simulator::run_until(time_ps t) {
     run_ready_run();
   }
   if (now_ < t) now_ = t;
+  mark_drained();
 }
 
 void simulator::overflow_push(wheel_entry e) {

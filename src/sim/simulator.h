@@ -25,6 +25,16 @@
 // their backing arrays, and callbacks are stored inline in the slot (see
 // sim/callback.h).
 //
+// A caller that knows an event's place in that order before it is ready to
+// post it can take the sequence number early (reserve_seq) and post later
+// under it (schedule_reserved). Network links use this as delay lines: a
+// packet going onto a wire takes the number its own arrival event would
+// have taken, but only the wire's head holds a kernel event; and a port with
+// nothing to send reserves its service decision's number instead of posting
+// an event that would find the queue empty. Dispatch order is unchanged as
+// long as a reserved event is posted before its slot comes up — which
+// slot_pending() checks and schedule_reserved() enforces.
+//
 // Cancellation marks the slot and drops the callback immediately; the dead
 // wheel entry is discarded when its bucket is dispatched or cascaded. A
 // live-event counter keeps empty()/pending() exact, and the slot's
@@ -48,6 +58,9 @@ class simulator {
  public:
   using callback = inline_callback;
 
+  // Same-instant ordering: early < normal < late, then sequence number.
+  enum class phase : std::uint8_t { early = 0, normal = 1, late = 2 };
+
   // Opaque generation-stamped reference to a scheduled event. `id` packs
   // (generation << 24) | (slot + 1); 0 is the null handle. 24 bits bound
   // the slab at ~16.7M concurrently tracked events (~1 GB of slots, far
@@ -65,7 +78,7 @@ class simulator {
   [[nodiscard]] time_ps now() const noexcept { return now_; }
 
   handle schedule_at(time_ps t, callback cb) {
-    return schedule(t, kPhaseNormal, std::move(cb));
+    return schedule(t, phase::normal, std::move(cb));
   }
 
   // Relative scheduling. now + dt saturates to the latest representable
@@ -73,7 +86,7 @@ class simulator {
   // (e.g. an idle TCP retransmit clock at WAN scale) parks at the end of
   // time — still cancellable, never wrapping into the past.
   handle schedule_in(time_ps dt, callback cb) {
-    return schedule(future_time(now_, dt), kPhaseNormal, std::move(cb));
+    return schedule(future_time(now_, dt), phase::normal, std::move(cb));
   }
 
   // Runs before every normal event with the same timestamp, regardless of
@@ -83,7 +96,7 @@ class simulator {
   // up-front injection gets for free by pre-scheduling everything, which
   // keeps streaming injection outcome-identical when ranks tie.
   handle schedule_early(time_ps t, callback cb) {
-    return schedule(t, kPhaseEarly, std::move(cb));
+    return schedule(t, phase::early, std::move(cb));
   }
 
   // Runs after every normal event with the same timestamp, including normal
@@ -92,13 +105,45 @@ class simulator {
   // still propagating through zero-delay forwarding chains — are visible to
   // the scheduler before it picks.
   handle schedule_late(time_ps t, callback cb) {
-    return schedule(t, kPhaseLate, std::move(cb));
+    return schedule(t, phase::late, std::move(cb));
+  }
+
+  // Takes the sequence number the next schedule call would have taken,
+  // without posting anything: an event later posted under it with
+  // schedule_reserved() keeps the place in the (time, phase, sequence)
+  // order it would have had if posted now.
+  [[nodiscard]] std::uint64_t reserve_seq() noexcept { return next_seq_++; }
+
+  // Posts cb at (t, ph, seq) under a number from reserve_seq(). Throws
+  // std::logic_error when that slot has already come up (see slot_pending):
+  // posting it now could not keep its place in the order.
+  handle schedule_reserved(time_ps t, phase ph, std::uint64_t seq,
+                           callback cb) {
+    const std::uint64_t order = order_of(ph, seq);
+    if (!slot_pending(t, order)) throw_reserved_passed();
+    return place_new(t, order, std::move(cb));
+  }
+
+  // True while an event at (t, ph, seq) would still be ahead of the
+  // dispatch position: later than the event being (or last) dispatched, and
+  // not in an instant a run loop has already drained. A run loop that
+  // returns (run, run_until, run_instant, or run_next finding nothing)
+  // closes every slot reserved so far at or before now().
+  [[nodiscard]] bool slot_pending(time_ps t, phase ph,
+                                  std::uint64_t seq) const noexcept {
+    return slot_pending(t, order_of(ph, seq));
   }
 
   // Cancels a pending event. Cancelling an already-run, already-cancelled,
   // or unknown handle is a harmless no-op (the generation stamp no longer
   // matches).
   void cancel(handle h);
+
+  // Drops every pending event without running it, releasing what its
+  // callback captured; the clock stays where it is. Whoever owns objects
+  // that pending callbacks hold (a network's packets) calls this before
+  // those objects' owner goes away.
+  void discard_pending() noexcept;
 
   // Runs the next pending event; returns false if the queue is empty.
   // Defined inline: this is the innermost loop of every experiment. The
@@ -107,6 +152,7 @@ class simulator {
   bool run_next() {
     for (;;) {
       if (ready_pos_ >= ready_.size() && !refill_ready(kNoLimit)) {
+        mark_drained();
         return false;
       }
       const wheel_entry e = ready_[ready_pos_++];
@@ -117,6 +163,7 @@ class simulator {
       }
       assert(e.at >= now_);
       now_ = e.at;
+      dispatch_order_ = e.order;
       ++processed_;
       --live_;
       // Detach the callback and retire the slot *before* invoking, so the
@@ -156,10 +203,7 @@ class simulator {
   static constexpr std::uint64_t kSlotBits = 24;
   static constexpr std::uint64_t kSlotMask = (1ull << kSlotBits) - 1;
   static constexpr std::uint64_t kGenMask = (1ull << 40) - 1;
-  // Same-instant ordering: early < normal < late, then scheduling order.
-  static constexpr std::uint8_t kPhaseEarly = 0;
-  static constexpr std::uint8_t kPhaseNormal = 1;
-  static constexpr std::uint8_t kPhaseLate = 2;
+  static constexpr std::uint64_t kSeqMask = (1ull << 62) - 1;
 
   // Wheel geometry: 6 levels of 256 slots. Level l slots are 2^(8l) ps
   // wide, so the wheel spans 2^48 ps (~4.7 simulated minutes) ahead of its
@@ -214,7 +258,33 @@ class simulator {
     return now + dt;
   }
 
-  handle schedule(time_ps t, std::uint8_t phase, callback cb);
+  [[nodiscard]] static std::uint64_t order_of(phase ph,
+                                              std::uint64_t seq) noexcept {
+    return (static_cast<std::uint64_t>(ph) << 62) | seq;
+  }
+
+  // The callback travels by reference down to its slot: one relocation
+  // per event on the way in, not one per call layer.
+  handle schedule(time_ps t, phase ph, callback&& cb) {
+    return place_new(t, order_of(ph, next_seq_++), std::move(cb));
+  }
+  handle place_new(time_ps t, std::uint64_t order, callback&& cb);
+
+  [[nodiscard]] bool slot_pending(time_ps t,
+                                  std::uint64_t order) const noexcept {
+    if (t != now_) return t > now_;
+    if (t == drained_at_ && (order & kSeqMask) < drained_below_) return false;
+    return order > dispatch_order_;
+  }
+
+  // A run loop returned: every event at or before now() that exists or
+  // holds a reserved number has had its turn; the next dispatch at now()
+  // starts the order afresh.
+  void mark_drained() noexcept {
+    drained_at_ = now_;
+    drained_below_ = next_seq_;
+    dispatch_order_ = 0;
+  }
 
   [[nodiscard]] bool ready_active() const noexcept {
     return ready_pos_ < ready_.size();
@@ -261,12 +331,19 @@ class simulator {
   }
 
   [[noreturn]] static void throw_past_schedule();
+  [[noreturn]] static void throw_reserved_passed();
   [[noreturn]] static void throw_slab_exhausted();
 
   time_ps now_ = 0;
   std::uint64_t next_seq_ = 1;
   std::uint64_t processed_ = 0;
   std::size_t live_ = 0;  // scheduled and not yet run or cancelled
+  // Dispatch position for slot_pending(): the order key of the event being
+  // (or last) dispatched at now_, and the last drained instant with the
+  // first sequence number reserved after it drained.
+  std::uint64_t dispatch_order_ = 0;
+  time_ps drained_at_ = -1;
+  std::uint64_t drained_below_ = 0;
   std::vector<event_slot> slots_;
   std::vector<std::uint32_t> free_slots_;
 

@@ -59,6 +59,7 @@ core::replay_result sample_result() {
   r.threshold_T = 12'000;
   r.peak_pool_packets = 7;
   r.peak_event_slots = 19;
+  r.events = 1'000'003;  // multi-byte varint
   // Includes a negative lateness (replay beat the original) and non-
   // monotonic original_out deltas, so both zigzag columns are exercised.
   r.outcomes = {
@@ -82,6 +83,7 @@ TEST(dispatch_codec, round_trips_every_field_exactly) {
   expect_identical_results(r, d);
   EXPECT_EQ(r.peak_pool_packets, d.peak_pool_packets);
   EXPECT_EQ(r.peak_event_slots, d.peak_event_slots);
+  EXPECT_EQ(r.events, d.events);
 }
 
 TEST(dispatch_codec, decode_leaves_trailing_bytes_for_the_caller) {

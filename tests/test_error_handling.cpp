@@ -2,8 +2,10 @@
 // misuse rather than silently producing wrong schedules.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
+#include <functional>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -155,9 +157,10 @@ TEST(errors, all_infinite_topology_has_no_bottleneck) {
 // A trace is input: a node id its topology does not have (out of range, or
 // a host where a router belongs and vice versa) is a typed replay error,
 // never an index past the network's tables.
-exp::original_run small_i2_run() {
+exp::original_run small_i2_run(bool record_hops = false) {
   exp::scenario sc;
   sc.packet_budget = 200;
+  sc.record_hops = record_hops;
   auto orig = exp::run_original(sc);
   net::sort_by_ingress(orig.trace);
   return orig;
@@ -203,6 +206,85 @@ TEST(errors, replay_file_rejects_node_ids_outside_the_topology) {
                      core::replay_mode::lstf)),
                  std::invalid_argument)
         << "edit " << i;
+  }
+  std::remove(path.c_str());
+}
+
+// A path of valid router ids can still name a hop that is not a link: a
+// skipped router, or a last router the destination host is not attached
+// to. Each is a typed error naming the record, in every mode, raised before
+// the packet enters the network (no mode may fail later, inside tmin or the
+// event loop, with an untyped one).
+constexpr core::replay_mode kAllModes[] = {
+    core::replay_mode::lstf,           core::replay_mode::lstf_preemptive,
+    core::replay_mode::lstf_pheap,     core::replay_mode::edf,
+    core::replay_mode::priority_output_time, core::replay_mode::omniscient};
+
+// The edits hit late records, so the replay is mid-run (packets queued, on
+// wires, and under up-front injection all posted) when it throws.
+std::vector<net::trace> broken_path_traces(const exp::original_run& orig) {
+  std::vector<net::trace> out;
+  const auto& recs = orig.trace.packets;
+  const auto three_hop = std::find_if(recs.rbegin(), recs.rend(), [](auto& r) {
+    return r.path.size() >= 3;
+  });
+  EXPECT_NE(three_hop, recs.rend());
+  out.push_back(orig.trace);
+  auto& skipped =
+      out.back().packets[recs.rend() - three_hop - 1].path;
+  skipped.erase(skipped.begin() + 1);
+  // A destination host attached to some other router than path.back().
+  out.push_back(orig.trace);
+  auto& r = out.back().packets.back();
+  const auto& hosts = orig.topology.hosts;
+  for (std::size_t h = 0; h < hosts.size(); ++h) {
+    if (hosts[h].router != r.path.back()) {
+      r.dst_host = orig.topology.host_id(h);
+      break;
+    }
+  }
+  return out;
+}
+
+void expect_broken_path_error(const std::function<void()>& replay,
+                              const std::string& where) {
+  try {
+    replay();
+    ADD_FAILURE() << where << ": replayed a broken path";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("replay: record "),
+              std::string::npos)
+        << where << ": " << e.what();
+  }
+}
+
+TEST(errors, replay_rejects_paths_that_skip_a_link) {
+  const auto orig = small_i2_run(/*record_hops=*/true);  // omniscient too
+  const auto bad = broken_path_traces(orig);
+  const std::string path = ::testing::TempDir() + "/ups_broken_path.v1";
+  for (std::size_t i = 0; i < bad.size(); ++i) {
+    auto in_memory = orig;
+    in_memory.trace = bad[i];
+    net::save_trace(path, bad[i]);
+    for (const auto mode : kAllModes) {
+      const std::string where =
+          "edit " + std::to_string(i) + " " + core::to_string(mode);
+      expect_broken_path_error(
+          [&] { static_cast<void>(exp::run_replay(in_memory, mode)); },
+          where + " (memory)");
+      expect_broken_path_error(
+          [&] {
+            static_cast<void>(exp::run_replay(
+                in_memory, mode, false, core::injection_mode::upfront));
+          },
+          where + " (memory, up-front)");
+      expect_broken_path_error(
+          [&] {
+            static_cast<void>(exp::run_replay_file(
+                path, orig.topology, orig.threshold_T, mode));
+          },
+          where + " (v1 file)");
+    }
   }
   std::remove(path.c_str());
 }

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "core/registry.h"
@@ -270,6 +271,42 @@ void expect_routes_match_reference(topo::topology t, std::size_t stride = 1) {
           << f.topo.name << " host " << i << " -> " << j;
     }
   }
+}
+
+TEST(network, idle_port_decision_keeps_its_reserved_place) {
+  // X = a -> c finishes p0 at t with nothing queued, so it reserves its
+  // service decision's number instead of posting it. Still at t, q reaches
+  // the idle port Y = b -> c (which posts a decision), then r reaches X,
+  // which must decide under its reserved number: ahead of Y, as it would
+  // with an empty decision posted at its completion. r and q then finish
+  // together and meet at the FIFO port c -> d in that order.
+  topo::topology t;
+  t.routers = 4;  // a b c d
+  for (const auto& [from, to] : {std::pair{0, 2}, {1, 2}, {2, 3}}) {
+    t.core_links.push_back(
+        topo::link_spec{from, to, sim::kGbps, sim::kMicrosecond});
+  }
+  t.hosts.push_back(topo::host_spec{3, sim::kGbps, sim::kMicrosecond});
+  fixture f(t);
+  const auto h = f.topo.host_id(0);
+  auto packet_via = [&](std::uint64_t id, node_id first) {
+    packet_ptr p = make_packet(id, h, h, 1500);
+    p->path = {first, 2, 3};
+    return p;
+  };
+  std::vector<std::uint64_t> egress_order;
+  f.net.hooks().on_egress = [&](const packet& p, sim::time_ps) {
+    egress_order.push_back(p.id);
+  };
+  const sim::time_ps t_done = 12 * sim::kMicrosecond;  // p0 leaves a
+  f.sim.schedule_at(0, [&] { f.net.inject_now(packet_via(1, 0)); });
+  // Posted after X's completion event, so both run after it at t_done.
+  f.sim.schedule_at(1, [&] {
+    f.sim.schedule_at(t_done, [&] { f.net.inject_now(packet_via(2, 1)); });
+    f.sim.schedule_at(t_done, [&] { f.net.inject_now(packet_via(3, 0)); });
+  });
+  f.sim.run();
+  EXPECT_EQ(egress_order, (std::vector<std::uint64_t>{1, 3, 2}));
 }
 
 TEST(network, route_table_matches_lazy_reference_line) {

@@ -7,6 +7,8 @@
 
 #include "core/registry.h"
 #include "core/replay.h"
+#include "exp/replay_experiment.h"
+#include "exp/scenario.h"
 #include "gadget_runner.h"
 #include "net/network.h"
 #include "net/trace.h"
@@ -309,6 +311,35 @@ TEST(replay_engine, streaming_injection_cuts_peak_residency) {
   EXPECT_EQ(upfront.peak_pool_packets, r.trace.packets.size());
   EXPECT_LT(streamed.peak_pool_packets, upfront.peak_pool_packets / 4);
   EXPECT_LT(streamed.peak_event_slots, upfront.peak_event_slots / 4);
+}
+
+TEST(replay_engine, kernel_events_per_packet_and_slot_high_water) {
+  // A fixed small I2 trace (seed 16, ~5k packets) under streaming LSTF.
+  // Each router hop costs a wire-head event, a completion, and a service
+  // decision only when the port has something to pick; injections are
+  // inline and no host-delivery event is posted. Posting one kernel event
+  // per packet on a wire, per injection, per empty decision and per host
+  // delivery cost 91,251 events here (18.2 per packet) with a 4,162-slot
+  // high-water that tracked the packets in flight.
+  exp::scenario sc;
+  sc.seed = 16;
+  sc.packet_budget = 5'000;
+  auto orig = exp::run_original(sc);
+  net::sort_by_ingress(orig.trace);
+  const auto r = exp::run_replay(orig, replay_mode::lstf);
+  const std::size_t packets = orig.trace.packets.size();
+  ASSERT_EQ(packets, 5'023u);
+  EXPECT_EQ(r.total, packets);
+  EXPECT_EQ(r.events, 67'716u);  // 13.5 per packet
+  EXPECT_LT(static_cast<double>(r.events) / static_cast<double>(packets),
+            14.0);
+  // At most a wire head and a completion per port (plus the feeder):
+  // bounded by the port count, not by the ~4.7k packets in flight.
+  const std::size_t ports =
+      2 * (orig.topology.core_links.size() + orig.topology.hosts.size());
+  EXPECT_EQ(r.peak_event_slots, 167u);
+  EXPECT_LE(r.peak_event_slots, ports);
+  EXPECT_GT(r.peak_pool_packets, 10 * r.peak_event_slots);
 }
 
 TEST(replay_engine, replay_mode_names) {

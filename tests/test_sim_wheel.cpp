@@ -8,8 +8,11 @@
 // suite here drives both kernels with one randomized script — schedules
 // across bucket and wheel-span boundaries, same-instant phase ties,
 // cancel/reschedule churn, stale cancels, zero-delay chains, run_until
-// peeks — asserting identical dispatch order and identical observable state
-// after every operation. Deterministic regressions cover wheel cascades at
+// peeks, sequence numbers reserved now and posted later (from the script
+// and from inside callbacks, at the instant being dispatched, in the normal
+// and late phases) — asserting identical dispatch order, identical
+// slot_pending verdicts and identical observable state after every
+// operation. Deterministic regressions cover wheel cascades at
 // bucket-boundary times, overflow-heap migration order, run_instant
 // batching, and schedule_in saturation.
 #include <gtest/gtest.h>
@@ -18,6 +21,7 @@
 #include <cstdint>
 #include <limits>
 #include <random>
+#include <stdexcept>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -39,15 +43,21 @@ enum class op_kind {
   run_next,
   run_until,
   run_instant,
+  reserve,        // take a sequence number for (now + dt, phase)
+  post_reserved,  // post a reservation if its slot is still pending
 };
+
+// What a fired callback does besides logging itself.
+enum class child_kind { none, schedule, reserve, post_reserved };
 
 struct op {
   op_kind kind = op_kind::run_next;
   int phase = 1;             // 0 early, 1 normal, 2 late
-  time_ps dt = 0;            // schedule/run_until: delta from now
-  time_ps child_dt = -1;     // >= 0: the fired callback schedules a child
+  time_ps dt = 0;            // schedule/reserve/run_until: delta from now
+  child_kind child = child_kind::none;
+  time_ps child_dt = 0;      // child schedule/reserve: delta from now
   int child_phase = 1;
-  std::size_t pick = 0;      // cancel target selector
+  std::size_t pick = 0;      // cancel/post target selector
   int count = 1;             // run_next burst size
 };
 
@@ -66,7 +76,7 @@ class driver {
     switch (o.kind) {
       case op_kind::schedule:
         schedule(o.phase, heap_simulator::future_time(k_.now(), o.dt),
-                 o.child_dt, o.child_phase);
+                 child{o.child, o.child_dt, o.child_phase, o.pick});
         break;
       case op_kind::cancel_live: {
         prune_fired();
@@ -92,8 +102,17 @@ class driver {
       case op_kind::run_instant:
         run_one_instant();
         break;
+      case op_kind::reserve:
+        reserve(o.phase, heap_simulator::future_time(k_.now(), o.dt));
+        break;
+      case op_kind::post_reserved:
+        post_reserved(o.pick);
+        break;
     }
   }
+
+  // slot_pending verdicts of every post_reserved, in order.
+  std::vector<bool> verdicts;
 
   void drain() { k_.run(); }
   [[nodiscard]] time_ps now() const { return k_.now(); }
@@ -119,12 +138,17 @@ class driver {
     }
   }
 
-  void schedule(int phase, time_ps at, time_ps child_dt, int child_phase) {
+  struct child {
+    child_kind kind = child_kind::none;
+    time_ps dt = 0;
+    int phase = 1;
+    std::size_t pick = 0;
+  };
+
+  void schedule(int phase, time_ps at, const child& c) {
     if (at < k_.now()) return;  // both drivers skip identically
     const std::uint64_t token = next_token_++;
-    auto cb = [this, token, child_dt, child_phase] {
-      fire(token, child_dt, child_phase);
-    };
+    auto cb = [this, token, c] { fire(token, c); };
     typename Kernel::handle h;
     switch (phase) {
       case 0: h = k_.schedule_early(at, cb); break;
@@ -134,13 +158,46 @@ class driver {
     live_.emplace_back(token, h);
   }
 
-  void fire(std::uint64_t token, time_ps child_dt, int child_phase) {
+  void fire(std::uint64_t token, const child& c) {
     log.push_back(dispatch{token, k_.now()});
     fired_.insert(token);
-    if (child_dt >= 0) {
-      schedule(child_phase, heap_simulator::future_time(k_.now(), child_dt),
-               -1, 1);
+    const time_ps at = heap_simulator::future_time(k_.now(), c.dt);
+    switch (c.kind) {
+      case child_kind::none: break;
+      case child_kind::schedule: schedule(c.phase, at, child{}); break;
+      case child_kind::reserve: reserve(c.phase, at); break;
+      case child_kind::post_reserved: post_reserved(c.pick); break;
     }
+  }
+
+  [[nodiscard]] static typename Kernel::phase phase_of(int phase) {
+    return phase == 2 ? Kernel::phase::late : Kernel::phase::normal;
+  }
+
+  void reserve(int phase, time_ps at) {
+    reserved_.push_back(reservation{at, phase, k_.reserve_seq()});
+  }
+
+  // Posts one reservation (and forgets it) if its slot is still ahead of
+  // the dispatch position; a passed slot must refuse the post.
+  void post_reserved(std::size_t pick) {
+    if (reserved_.empty()) return;
+    const std::size_t i = pick % reserved_.size();
+    const reservation r = reserved_[i];
+    reserved_[i] = reserved_.back();
+    reserved_.pop_back();
+    const bool pending = k_.slot_pending(r.at, phase_of(r.phase), r.seq);
+    verdicts.push_back(pending);
+    if (!pending) {
+      EXPECT_THROW(
+          k_.schedule_reserved(r.at, phase_of(r.phase), r.seq, [] {}),
+          std::logic_error);
+      return;
+    }
+    const std::uint64_t token = next_token_++;
+    live_.emplace_back(
+        token, k_.schedule_reserved(r.at, phase_of(r.phase), r.seq,
+                                    [this, token] { fire(token, child{}); }));
   }
 
   void prune_fired() {
@@ -154,8 +211,15 @@ class driver {
     }
   }
 
+  struct reservation {
+    time_ps at;
+    int phase;  // 1 normal, 2 late
+    std::uint64_t seq;
+  };
+
   Kernel k_;
   std::uint64_t next_token_ = 0;
+  std::vector<reservation> reserved_;
   std::vector<std::pair<std::uint64_t, typename Kernel::handle>> live_;
   std::vector<typename Kernel::handle> stale_;
   std::unordered_set<std::uint64_t> fired_;
@@ -205,16 +269,32 @@ std::vector<op> make_script(std::uint64_t seed, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
     op o;
     const auto r = rng() % 100;
-    if (r < 45) {
+    static constexpr time_ps child_dts[] = {0, 0, 1, 7, 64, 100};
+    if (r < 40) {
       o.kind = op_kind::schedule;
       const auto p = rng() % 10;
       o.phase = p < 2 ? 0 : (p < 8 ? 1 : 2);
       o.dt = pick_dt(rng);
-      if (rng() % 4 == 0) {
-        static constexpr time_ps child_dts[] = {0, 0, 1, 7, 64, 100};
+      const auto c = rng() % 12;
+      if (c < 3) {
+        o.child = child_kind::schedule;
         o.child_dt = child_dts[rng() % 6];
         o.child_phase = static_cast<int>(rng() % 3);
+      } else if (c < 5) {
+        // A callback reserving for its own instant or just after, normal
+        // or late phase: what a wire push and an idle port do.
+        o.child = child_kind::reserve;
+        o.child_dt = child_dts[rng() % 6];
+        o.child_phase = 1 + static_cast<int>(rng() % 2);
+      } else if (c < 7) {
+        o.child = child_kind::post_reserved;
+        o.pick = rng();
       }
+    } else if (r < 45) {
+      o.kind = rng() % 2 == 0 ? op_kind::reserve : op_kind::post_reserved;
+      o.phase = 1 + static_cast<int>(rng() % 2);
+      o.dt = rng() % 3 == 0 ? pick_dt(rng) : child_dts[rng() % 6];
+      o.pick = rng();
     } else if (r < 57) {
       o.kind = op_kind::cancel_live;
       o.pick = rng();
@@ -246,6 +326,7 @@ void run_equivalence(std::uint64_t seed, std::size_t ops) {
     ASSERT_EQ(wheel.now(), heap.now()) << "op " << i << " seed " << seed;
     ASSERT_EQ(wheel.pending(), heap.pending()) << "op " << i;
     ASSERT_EQ(wheel.log.size(), heap.log.size()) << "op " << i;
+    ASSERT_EQ(wheel.verdicts, heap.verdicts) << "op " << i;
     if (!wheel.log.empty()) {
       ASSERT_EQ(wheel.log.back(), heap.log.back()) << "op " << i;
     }
@@ -253,6 +334,12 @@ void run_equivalence(std::uint64_t seed, std::size_t ops) {
   wheel.drain();
   heap.drain();
   EXPECT_EQ(wheel.log, heap.log) << "seed " << seed;
+  EXPECT_EQ(wheel.verdicts, heap.verdicts);
+  // The script reaches both sides of slot_pending.
+  const auto posted = std::count(wheel.verdicts.begin(),
+                                 wheel.verdicts.end(), true);
+  EXPECT_GT(posted, 0);
+  EXPECT_LT(static_cast<std::size_t>(posted), wheel.verdicts.size());
   EXPECT_EQ(wheel.now(), heap.now());
   EXPECT_EQ(wheel.processed(), heap.processed());
   EXPECT_EQ(wheel.pending(), 0u);
@@ -434,6 +521,80 @@ TEST(sim_wheel, heap_reference_saturates_identically) {
   s.run();
   EXPECT_TRUE(ran);
   EXPECT_EQ(s.now(), std::numeric_limits<time_ps>::max());
+}
+
+TEST(sim_wheel, reserved_number_keeps_its_place_in_the_order) {
+  // A number reserved before two same-instant events are scheduled runs
+  // ahead of them when posted after them; one reserved after runs behind.
+  simulator s;
+  std::vector<int> order;
+  const auto first = s.reserve_seq();
+  s.schedule_at(10, [&] { order.push_back(2); });
+  const auto middle = s.reserve_seq();
+  s.schedule_at(10, [&] { order.push_back(4); });
+  s.schedule_reserved(10, simulator::phase::normal, middle,
+                      [&] { order.push_back(3); });
+  s.schedule_reserved(10, simulator::phase::normal, first,
+                      [&] { order.push_back(1); });
+  s.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+}
+
+TEST(sim_wheel, late_reservation_posted_at_the_dispatching_instant) {
+  // An event at t reserves a late slot at t (an idle port's decision); a
+  // later normal event at t posts it, and it runs after every normal event
+  // at t but ahead of a late event scheduled after the reservation.
+  simulator s;
+  std::vector<int> order;
+  std::uint64_t seq = 0;
+  s.schedule_at(10, [&] {
+    order.push_back(1);
+    seq = s.reserve_seq();
+    s.schedule_late(10, [&] { order.push_back(5); });
+  });
+  s.schedule_at(10, [&] {
+    order.push_back(2);
+    EXPECT_TRUE(s.slot_pending(10, simulator::phase::late, seq));
+    s.schedule_reserved(10, simulator::phase::late, seq,
+                        [&] { order.push_back(4); });
+    s.schedule_at(10, [&] { order.push_back(3); });
+  });
+  s.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5}));
+}
+
+TEST(sim_wheel, passed_reserved_slot_refuses_the_post) {
+  simulator s;
+  std::uint64_t seq = 0;
+  s.schedule_at(10, [&] {
+    seq = s.reserve_seq();  // for (10, late): nothing posts it
+    s.schedule_late(10, [] {});
+  });
+  s.schedule_at(20, [] {});
+  s.run_until(10);
+  // The instant drained: its reserved slots have come up.
+  EXPECT_FALSE(s.slot_pending(10, simulator::phase::late, seq));
+  EXPECT_THROW(s.schedule_reserved(10, simulator::phase::late, seq, [] {}),
+               std::logic_error);
+  // A number reserved after the drain is still ahead at the same instant.
+  const auto fresh = s.reserve_seq();
+  EXPECT_TRUE(s.slot_pending(10, simulator::phase::normal, fresh));
+  bool ran = false;
+  s.schedule_reserved(10, simulator::phase::normal, fresh,
+                      [&] { ran = true; });
+  s.run();
+  EXPECT_TRUE(ran);
+  // Within an instant: a late slot behind the dispatch position is gone,
+  // one ahead of it is not.
+  s.schedule_at(30, [&] {
+    const auto mine = s.reserve_seq();
+    s.schedule_late(30, [&s, mine] {
+      EXPECT_FALSE(s.slot_pending(30, simulator::phase::late, mine));
+      EXPECT_TRUE(
+          s.slot_pending(30, simulator::phase::late, s.reserve_seq()));
+    });
+  });
+  s.run();
 }
 
 TEST(sim_wheel, dense_timer_churn_stays_exact) {
